@@ -860,49 +860,49 @@ func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 }
 
 // BenchmarkDecisionScopedInvalidation measures the cost of one unrelated
-// policy change against a hot cache: with drop-all invalidation every
-// change forces a full re-query stampede of the hot set; with scoped
-// invalidation the hot entries survive and the AM sees nothing.
+// policy change against a hot cache: the change reaches the Host as a
+// scoped event on its invalidation stream, the hot entries survive, and
+// the AM sees no decision re-queries (am-rt/op stays 0).
 func BenchmarkDecisionScopedInvalidation(b *testing.B) {
+	recordBench(b)
 	const hot = 32
-	run := func(b *testing.B, scoped bool) {
-		w, h, pairs, req := decisionBenchFixture(b, hot)
-		h.Enforcer.Cache().SetScopedInvalidation(scoped)
-		w.AM.EnableInvalidationPush(nil)
-		// An unrelated realm whose policy churns each iteration.
-		coldPol, err := w.AM.CreatePolicy("bob", policy.Policy{
-			Owner: "bob", Name: "cold", Kind: policy.KindGeneral,
-			Rules: []policy.Rule{{Effect: policy.EffectDeny, Subjects: []policy.Subject{{Type: policy.SubjectEveryone}}}},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.AM.LinkGeneral("bob", "cold-realm", coldPol.ID); err != nil {
-			b.Fatal(err)
-		}
-		warm := func() {
-			if _, err := h.Enforcer.CheckBatch(req, "bob", "travel", pairs); err != nil {
-				b.Fatal(err)
-			}
-		}
-		// Quiesce the setup's link-push before warming, so the generation
-		// guard does not drop the warmup fill.
-		w.AM.FlushInvalidations()
-		warm()
-		w.ResetAMRequests()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			coldPol.Name = fmt.Sprintf("cold-%d", i)
-			if err := w.AM.UpdatePolicy("bob", coldPol); err != nil {
-				b.Fatal(err)
-			}
-			w.AM.FlushInvalidations()
-			warm()
-		}
-		b.ReportMetric(float64(w.AMRequests())/float64(b.N), "am-rt/op")
+	w, h, pairs, req := decisionBenchFixture(b, hot)
+	// An unrelated realm whose policy churns each iteration.
+	coldPol, err := w.AM.CreatePolicy("bob", policy.Policy{
+		Owner: "bob", Name: "cold", Kind: policy.KindGeneral,
+		Rules: []policy.Rule{{Effect: policy.EffectDeny, Subjects: []policy.Subject{{Type: policy.SubjectEveryone}}}},
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.Run("drop-all", func(b *testing.B) { recordBench(b); run(b, false) })
-	b.Run("scoped", func(b *testing.B) { recordBench(b); run(b, true) })
+	if err := w.AM.LinkGeneral("bob", "cold-realm", coldPol.ID); err != nil {
+		b.Fatal(err)
+	}
+	// Subscribe after the setup mutations, so none of their events races
+	// the warmup fill.
+	if err := h.Enforcer.StartInvalidationStream("bob"); err != nil {
+		b.Fatal(err)
+	}
+	warm := func() {
+		if _, err := h.Enforcer.CheckBatch(req, "bob", "travel", pairs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	warm()
+	w.ResetAMRequests()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		coldPol.Name = fmt.Sprintf("cold-%d", i)
+		gen := h.Enforcer.Cache().Gen()
+		if err := w.AM.UpdatePolicy("bob", coldPol); err != nil {
+			b.Fatal(err)
+		}
+		if err := sim.AwaitInvalidation(h.Enforcer.Cache(), gen); err != nil {
+			b.Fatal(err)
+		}
+		warm()
+	}
+	b.ReportMetric(float64(w.AMRequests())/float64(b.N), "am-rt/op")
 }
 
 // BenchmarkDecisionCacheLRU exercises the shard-striped LRU under capacity
@@ -1334,11 +1334,8 @@ func decisionIndexPolicy(rules int) policy.Policy {
 
 // BenchmarkDecisionIndex measures the compiled decision index at two
 // layers. engine-*: policy.EvaluateCompiled against policy.Evaluate on the
-// same wide policy — the pure candidate-pre-filter win. am-*: AM.Decide
-// end to end with the lazy per-link index against the same AM built with
-// DisableDecisionIndex (per-decision link resolution plus full rule scan);
-// the gap here also includes the link/policy store lookups the index
-// caches.
+// same wide policy — the pure candidate-pre-filter win. am-compiled: AM.Decide
+// end to end through the lazy per-link index.
 func BenchmarkDecisionIndex(b *testing.B) {
 	const rules = 128
 	req := policy.Request{
@@ -1366,56 +1363,50 @@ func BenchmarkDecisionIndex(b *testing.B) {
 		}
 	})
 
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"am-compiled", false}, {"am-scan", true}} {
-		b.Run(fmt.Sprintf("%s-rules-%d", mode.name, rules), func(b *testing.B) {
-			recordBench(b)
-			a := am.New(am.Config{
-				Name:                 "bench-am",
-				TokenKey:             []byte("bench-master-key-0123456789abcde"),
-				DisableDecisionIndex: mode.disable,
-			})
-			defer a.Close()
-			code, err := a.ApprovePairing(core.PairingRequest{Host: "webpics", User: "bob"})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pairing, err := a.ExchangeCode(code, "webpics")
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := a.RegisterRealm(pairing.PairingID, core.ProtectRequest{Realm: "travel"}); err != nil {
-				b.Fatal(err)
-			}
-			created, err := a.CreatePolicy("bob", decisionIndexPolicy(rules))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := a.LinkGeneral("bob", "travel", created.ID); err != nil {
-				b.Fatal(err)
-			}
-			tok, err := a.IssueToken(core.TokenRequest{
-				Requester: "alice-browser", Subject: "alice", Host: "webpics",
-				Realm: "travel", Resource: "photo-1", Action: core.ActionRead,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			q := core.DecisionQuery{
-				Host: "webpics", Realm: "travel", Resource: "photo-1",
-				Action: core.ActionRead, Token: tok.Token,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec, err := a.Decide(pairing.PairingID, q)
-				if err != nil || !dec.Permit() {
-					b.Fatalf("dec=%+v err=%v", dec, err)
-				}
-			}
+	b.Run(fmt.Sprintf("am-compiled-rules-%d", rules), func(b *testing.B) {
+		recordBench(b)
+		a := am.New(am.Config{
+			Name:     "bench-am",
+			TokenKey: []byte("bench-master-key-0123456789abcde"),
 		})
-	}
+		defer a.Close()
+		code, err := a.ApprovePairing(core.PairingRequest{Host: "webpics", User: "bob"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairing, err := a.ExchangeCode(code, "webpics")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := a.RegisterRealm(pairing.PairingID, core.ProtectRequest{Realm: "travel"}); err != nil {
+			b.Fatal(err)
+		}
+		created, err := a.CreatePolicy("bob", decisionIndexPolicy(rules))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := a.LinkGeneral("bob", "travel", created.ID); err != nil {
+			b.Fatal(err)
+		}
+		tok, err := a.IssueToken(core.TokenRequest{
+			Requester: "alice-browser", Subject: "alice", Host: "webpics",
+			Realm: "travel", Resource: "photo-1", Action: core.ActionRead,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := core.DecisionQuery{
+			Host: "webpics", Realm: "travel", Resource: "photo-1",
+			Action: core.ActionRead, Token: tok.Token,
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec, err := a.Decide(pairing.PairingID, q)
+			if err != nil || !dec.Permit() {
+				b.Fatalf("dec=%+v err=%v", dec, err)
+			}
+		}
+	})
 }
 
 // BenchmarkRebalancePlan measures the pure planner over a populated ring:

@@ -124,12 +124,6 @@ type Config struct {
 	// replication group), and owner-scoped routes answer wrong_shard when
 	// the owner hashes elsewhere. The zero value is an unsharded AM.
 	Cluster ClusterConfig
-	// DisableDecisionIndex turns off the compiled decision index, so
-	// every decision resolves links and scans policies directly from the
-	// store. This exists to measure the index (benchmarks) and to
-	// differential-test the two paths; production configurations leave
-	// it off.
-	DisableDecisionIndex bool
 	// Events sizes the streaming event control plane (GET /v1/events).
 	// The zero value uses the broker defaults.
 	Events EventsConfig
@@ -203,7 +197,6 @@ type AM struct {
 	mu       sync.Mutex
 	pending  map[string]pendingPairing // one-time pairing codes
 	consents map[string]*consentTicket
-	inval    *invalidator
 }
 
 // pendingPairing is a one-time code awaiting Host exchange (the back leg of
@@ -247,15 +240,13 @@ func New(cfg Config) *AM {
 		replCfg:    cfg.Replication,
 		clusterCfg: cfg.Cluster,
 		limiter:    newLimiter(cfg.Abuse),
+		index:      newDecisionIndex(),
 		pending:    make(map[string]pendingPairing),
 		consents:   make(map[string]*consentTicket),
 	}
 	a.auditPipe = audit.NewPipeline(a.audit, 0)
 	a.groups = newGroupStore(st)
 	a.engine = policy.NewEngine(a.groups)
-	if !cfg.DisableDecisionIndex {
-		a.index = newDecisionIndex()
-	}
 	a.eventsCfg = cfg.Events.withDefaults()
 	// The broker must exist before the replication loop starts: the
 	// follower sync path publishes replication signals from its goroutine.

@@ -16,21 +16,19 @@ import (
 	"umac/internal/webutil"
 )
 
-// envelope mirrors the wire form of the structured error body, including
-// the legacy "error" member.
+// envelope mirrors the wire form of the structured error body.
 type envelope struct {
-	Code        string `json:"code"`
-	Status      int    `json:"status"`
-	Message     string `json:"message"`
-	Retryable   bool   `json:"retryable"`
-	RequestID   string `json:"request_id"`
-	LegacyError string `json:"error"`
+	Code      string `json:"code"`
+	Status    int    `json:"status"`
+	Message   string `json:"message"`
+	Retryable bool   `json:"retryable"`
+	RequestID string `json:"request_id"`
 }
 
 // TestErrorEnvelopeByClass drives one representative endpoint per error
 // class and asserts the full core.APIError shape: stable code, matching
-// status, non-empty message, request ID, problem content type, and the
-// legacy "error" member for pre-v1 readers.
+// status, non-empty message, request ID, problem content type — and no
+// member beyond the core.APIError fields.
 func TestErrorEnvelopeByClass(t *testing.T) {
 	f := newHTTPFixture(t)
 
@@ -101,9 +99,20 @@ func TestErrorEnvelopeByClass(t *testing.T) {
 			if ct := resp.Header.Get("Content-Type"); ct != webutil.ProblemContentType {
 				t.Errorf("content type = %q", ct)
 			}
-			var e envelope
-			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
 				t.Fatal(err)
+			}
+			var e envelope
+			if err := json.Unmarshal(raw, &e); err != nil {
+				t.Fatal(err)
+			}
+			var members map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &members); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := members["error"]; ok {
+				t.Errorf("envelope carries the retired \"error\" member: %s", raw)
 			}
 			if e.Code != tc.wantCode {
 				t.Errorf("code = %q, want %q", e.Code, tc.wantCode)
@@ -111,8 +120,8 @@ func TestErrorEnvelopeByClass(t *testing.T) {
 			if e.Status != tc.wantStatus {
 				t.Errorf("body status = %d, want %d", e.Status, tc.wantStatus)
 			}
-			if e.Message == "" || e.LegacyError != e.Message {
-				t.Errorf("message = %q, legacy error = %q", e.Message, e.LegacyError)
+			if e.Message == "" {
+				t.Error("empty message")
 			}
 			if e.RequestID == "" || e.RequestID != resp.Header.Get(webutil.RequestIDHeader) {
 				t.Errorf("request id body=%q header=%q", e.RequestID, resp.Header.Get(webutil.RequestIDHeader))
@@ -162,68 +171,9 @@ func TestSignatureReplayEnvelope(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasByteForByte proves the pre-v1 paths answer byte-for-byte
-// identically to their /v1 canonical forms: same handler, same envelope.
-// A fixed inbound X-Request-Id makes even the error envelopes comparable.
-func TestLegacyAliasByteForByte(t *testing.T) {
-	f := newHTTPFixture(t)
-	f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob")).Body.Close()
-
-	cases := []struct {
-		name   string
-		user   string
-		method string
-		legacy string // pre-v1 path; the v1 form is "/v1" + path
-		body   string
-	}{
-		{"policy list", "bob", "GET", "/policies", ""},
-		{"policy not found", "bob", "GET", "/policies/pol-none", ""},
-		{"unauthenticated", "", "GET", "/pairings", ""},
-		{"unsigned decision", "", "POST", "/api/decision", "{}"},
-		{"bad token body", "", "POST", "/token", "{nope"},
-		{"healthz", "", "GET", "/healthz", ""},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fetch := func(path string) (int, string) {
-				var rdr io.Reader
-				if tc.body != "" {
-					rdr = strings.NewReader(tc.body)
-				}
-				req, err := http.NewRequest(tc.method, f.srv.URL+path, rdr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				req.Header.Set(webutil.RequestIDHeader, "req-fixed-for-diff")
-				if tc.user != "" {
-					req.Header.Set(identity.DefaultUserHeader, tc.user)
-				}
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				b, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return resp.StatusCode, string(b)
-			}
-			legacyStatus, legacyBody := fetch(tc.legacy)
-			v1Status, v1Body := fetch("/v1" + tc.legacy)
-			if legacyStatus != v1Status {
-				t.Fatalf("status legacy=%d v1=%d", legacyStatus, v1Status)
-			}
-			if legacyBody != v1Body {
-				t.Fatalf("body mismatch:\nlegacy: %s\nv1:     %s", legacyBody, v1Body)
-			}
-		})
-	}
-}
-
 // TestPairingDeleteRoute covers the RESTful revocation: DELETE
-// /v1/pairings/{id} revokes, the legacy POST …/revoke alias still works,
-// and unknown IDs return the structured not_paired envelope.
+// /v1/pairings/{id} revokes, the retired POST …/revoke form is gone, and
+// unknown IDs return the structured not_paired envelope.
 func TestPairingDeleteRoute(t *testing.T) {
 	f := newHTTPFixture(t)
 	pairOnce := func() string {
@@ -247,12 +197,15 @@ func TestPairingDeleteRoute(t *testing.T) {
 		t.Fatal("revoked pairing still verifies")
 	}
 
-	// Legacy POST alias.
+	// The retired POST …/revoke form no longer routes, and revokes nothing.
 	id2 := pairOnce()
 	resp = f.do(t, "bob", http.MethodPost, "/pairings/"+id2+"/revoke", map[string]string{})
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("legacy revoke status = %d", resp.StatusCode)
+	if resp.StatusCode != 404 {
+		t.Fatalf("POST …/revoke status = %d, want 404", resp.StatusCode)
+	}
+	if _, ok := f.am.PairingSecret(id2); !ok {
+		t.Fatal("POST …/revoke revoked the pairing")
 	}
 
 	// Unknown ID → structured envelope.
@@ -366,12 +319,12 @@ func TestReadyzDraining(t *testing.T) {
 	}
 }
 
-// TestMetricsEndpoint asserts per-route counters accumulate — with legacy
-// alias traffic landing in the canonical route's counter.
+// TestMetricsEndpoint asserts per-route counters accumulate by status
+// class.
 func TestMetricsEndpoint(t *testing.T) {
 	f := newHTTPFixture(t)
 	f.do(t, "bob", http.MethodGet, "/v1/policies", nil).Body.Close()
-	f.do(t, "bob", http.MethodGet, "/policies", nil).Body.Close() // legacy alias
+	f.do(t, "bob", http.MethodGet, "/v1/policies", nil).Body.Close()
 	f.do(t, "", http.MethodGet, "/v1/policies", nil).Body.Close() // 401
 
 	resp := f.do(t, "", http.MethodGet, "/v1/metrics", nil)

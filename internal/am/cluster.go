@@ -526,8 +526,6 @@ func (a *AM) applyImported(rec core.ReplRecord) error {
 	if rec.Kind == kindClusterRing {
 		a.installRingRecord(rec)
 	}
-	if a.index != nil {
-		a.index.applyRecord(rec)
-	}
+	a.index.applyRecord(rec)
 	return nil
 }

@@ -16,21 +16,17 @@ import (
 )
 
 // APIVersionPrefix is the path prefix of the current API version. Every
-// route is canonically mounted under it; the bare pre-v1 paths remain as
-// thin legacy aliases sharing the same handlers (and metrics label).
+// route is mounted under it and nowhere else.
 const APIVersionPrefix = "/v1"
 
-// RouteInfo describes one registered API route: the canonical v1 pattern
-// plus any legacy alias patterns. The route-drift test asserts every entry
-// is documented in docs/PROTOCOL.md.
+// RouteInfo describes one registered API route. The route-drift test
+// asserts every entry is documented in docs/PROTOCOL.md.
 type RouteInfo struct {
 	Method string
-	Path   string   // canonical path, including the /v1 prefix
-	Legacy []string // alias paths served by the same handler
+	Path   string // including the /v1 prefix
 }
 
-// Handler returns the AM's versioned HTTP API. Canonical routes live under
-// /v1; pre-v1 paths are retained as aliases:
+// Handler returns the AM's versioned HTTP API; every route lives under /v1:
 //
 //	Browser-facing (authenticated via Config.Auth):
 //	  GET    /v1/pair/confirm            Fig. 3 user-consent leg
@@ -81,21 +77,11 @@ func (a *AM) Handler() http.Handler {
 	var routes []RouteInfo
 	mux := http.NewServeMux()
 
-	// reg mounts h under "method /v1<path>" and every legacy alias, all
-	// sharing one instrumented wrapper so alias traffic lands in the
-	// canonical route's counters.
-	reg := func(method, path string, h http.Handler, aliases ...string) {
-		canonical := method + " " + APIVersionPrefix + path
-		wrapped := metrics.Instrument(canonical, h)
-		mux.Handle(canonical, wrapped)
-		for _, alias := range aliases {
-			mux.Handle(method+" "+alias, wrapped)
-		}
-		routes = append(routes, RouteInfo{Method: method, Path: APIVersionPrefix + path, Legacy: aliases})
-	}
-	// regSame registers path with the pre-v1 alias at the identical path.
-	regSame := func(method, path string, h http.Handler) {
-		reg(method, path, h, path)
+	// reg mounts h under "method /v1<path>" inside its route's metrics.
+	reg := func(method, path string, h http.Handler) {
+		pattern := method + " " + APIVersionPrefix + path
+		mux.Handle(pattern, metrics.Instrument(pattern, h))
+		routes = append(routes, RouteInfo{Method: method, Path: APIVersionPrefix + path})
 	}
 
 	// Mutating routes additionally pass through a.primaryOnly, so a
@@ -111,65 +97,62 @@ func (a *AM) Handler() http.Handler {
 	// the replication-secret admin surface are never limited.
 
 	// --- Host-facing API ---
-	regSame("POST", "/api/pair/exchange", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handlePairExchange))))
-	regSame("POST", "/api/protect", a.primaryOnly(a.signed(verifier, costMutation, a.handleProtect)))
-	regSame("POST", "/api/decision", a.signed(verifier, costDecision, a.handleDecision))
-	regSame("POST", "/api/decision/batch", a.signed(verifier, costDecision, a.handleDecisionBatch))
-	regSame("POST", "/api/decision/pull", a.signed(verifier, costDecision, a.handlePullDecision))
-	regSame("POST", "/api/decision/state", a.signed(verifier, costDecision, a.handleStateDecision))
+	reg("POST", "/api/pair/exchange", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handlePairExchange))))
+	reg("POST", "/api/protect", a.primaryOnly(a.signed(verifier, costMutation, a.handleProtect)))
+	reg("POST", "/api/decision", a.signed(verifier, costDecision, a.handleDecision))
+	reg("POST", "/api/decision/batch", a.signed(verifier, costDecision, a.handleDecisionBatch))
+	reg("POST", "/api/decision/pull", a.signed(verifier, costDecision, a.handlePullDecision))
+	reg("POST", "/api/decision/state", a.signed(verifier, costDecision, a.handleStateDecision))
 
 	// --- Requester-facing ---
-	regSame("POST", "/token", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handleToken))))
-	regSame("GET", "/token/status", a.ipLimited(costDecision, http.HandlerFunc(a.handleTokenStatus)))
-	regSame("POST", "/state", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handleEstablishState))))
+	reg("POST", "/token", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handleToken))))
+	reg("GET", "/token/status", a.ipLimited(costDecision, http.HandlerFunc(a.handleTokenStatus)))
+	reg("POST", "/state", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handleEstablishState))))
 
 	// --- Browser-facing ---
-	regSame("GET", "/pair/confirm", a.primaryOnly(a.authed(costMutation, a.handlePairConfirm)))
-	regSame("GET", "/compose", a.authed(costRead, a.handleComposePage))
+	reg("GET", "/pair/confirm", a.primaryOnly(a.authed(costMutation, a.handlePairConfirm)))
+	reg("GET", "/compose", a.authed(costRead, a.handleComposePage))
 
-	regSame("GET", "/policies", a.authed(costRead, a.handlePolicyList))
-	regSame("POST", "/policies", a.primaryOnly(a.authed(costMutation, a.handlePolicyCreate)))
-	regSame("GET", "/policies/export", a.authed(costExpensive, a.handlePolicyExport))
-	regSame("POST", "/policies/import", a.primaryOnly(a.authed(costExpensive, a.handlePolicyImport)))
-	regSame("GET", "/policies/{id}", a.authed(costRead, a.handlePolicyGet))
-	regSame("PUT", "/policies/{id}", a.primaryOnly(a.authed(costMutation, a.handlePolicyUpdate)))
-	regSame("DELETE", "/policies/{id}", a.primaryOnly(a.authed(costMutation, a.handlePolicyDelete)))
+	reg("GET", "/policies", a.authed(costRead, a.handlePolicyList))
+	reg("POST", "/policies", a.primaryOnly(a.authed(costMutation, a.handlePolicyCreate)))
+	reg("GET", "/policies/export", a.authed(costExpensive, a.handlePolicyExport))
+	reg("POST", "/policies/import", a.primaryOnly(a.authed(costExpensive, a.handlePolicyImport)))
+	reg("GET", "/policies/{id}", a.authed(costRead, a.handlePolicyGet))
+	reg("PUT", "/policies/{id}", a.primaryOnly(a.authed(costMutation, a.handlePolicyUpdate)))
+	reg("DELETE", "/policies/{id}", a.primaryOnly(a.authed(costMutation, a.handlePolicyDelete)))
 
-	regSame("POST", "/links/general", a.primaryOnly(a.authed(costMutation, a.handleLinkGeneral)))
-	regSame("POST", "/links/specific", a.primaryOnly(a.authed(costMutation, a.handleLinkSpecific)))
-	regSame("DELETE", "/links/general", a.primaryOnly(a.authed(costMutation, a.handleUnlinkGeneral)))
-	regSame("DELETE", "/links/specific", a.primaryOnly(a.authed(costMutation, a.handleUnlinkSpecific)))
+	reg("POST", "/links/general", a.primaryOnly(a.authed(costMutation, a.handleLinkGeneral)))
+	reg("POST", "/links/specific", a.primaryOnly(a.authed(costMutation, a.handleLinkSpecific)))
+	reg("DELETE", "/links/general", a.primaryOnly(a.authed(costMutation, a.handleUnlinkGeneral)))
+	reg("DELETE", "/links/specific", a.primaryOnly(a.authed(costMutation, a.handleUnlinkSpecific)))
 
-	regSame("GET", "/groups", a.authed(costRead, a.handleGroupList))
-	regSame("GET", "/groups/{group}/members", a.authed(costRead, a.handleGroupMembers))
-	regSame("POST", "/groups/{group}/members", a.primaryOnly(a.authed(costMutation, a.handleGroupAdd)))
-	regSame("DELETE", "/groups/{group}/members/{user}", a.primaryOnly(a.authed(costMutation, a.handleGroupRemove)))
+	reg("GET", "/groups", a.authed(costRead, a.handleGroupList))
+	reg("GET", "/groups/{group}/members", a.authed(costRead, a.handleGroupMembers))
+	reg("POST", "/groups/{group}/members", a.primaryOnly(a.authed(costMutation, a.handleGroupAdd)))
+	reg("DELETE", "/groups/{group}/members/{user}", a.primaryOnly(a.authed(costMutation, a.handleGroupRemove)))
 
-	regSame("GET", "/custodians", a.authed(costRead, a.handleCustodianList))
-	regSame("POST", "/custodians", a.primaryOnly(a.authed(costMutation, a.handleCustodianAdd)))
-	regSame("DELETE", "/custodians/{user}", a.primaryOnly(a.authed(costMutation, a.handleCustodianRemove)))
+	reg("GET", "/custodians", a.authed(costRead, a.handleCustodianList))
+	reg("POST", "/custodians", a.primaryOnly(a.authed(costMutation, a.handleCustodianAdd)))
+	reg("DELETE", "/custodians/{user}", a.primaryOnly(a.authed(costMutation, a.handleCustodianRemove)))
 
-	regSame("GET", "/audit", a.authed(costExpensive, a.handleAudit))
-	regSame("GET", "/audit/summary", a.authed(costExpensive, a.handleAuditSummary))
+	reg("GET", "/audit", a.authed(costExpensive, a.handleAudit))
+	reg("GET", "/audit/summary", a.authed(costExpensive, a.handleAuditSummary))
 
-	regSame("GET", "/consents", a.authed(costRead, a.handleConsentList))
-	regSame("POST", "/consents/{ticket}", a.primaryOnly(a.authed(costExpensive, a.handleConsentResolve)))
+	reg("GET", "/consents", a.authed(costRead, a.handleConsentList))
+	reg("POST", "/consents/{ticket}", a.primaryOnly(a.authed(costExpensive, a.handleConsentResolve)))
 
-	regSame("GET", "/pairings", a.authed(costRead, a.handlePairingList))
-	// DELETE is the canonical revocation; the pre-v1 POST …/revoke form is
-	// kept as an alias on both surfaces.
+	reg("GET", "/pairings", a.authed(costRead, a.handlePairingList))
 	reg("DELETE", "/pairings/{id}", a.primaryOnly(a.authed(costMutation, a.handlePairingRevoke)))
-	regSame("POST", "/pairings/{id}/revoke", a.primaryOnly(a.authed(costMutation, a.handlePairingRevoke)))
 
 	// --- Replication (primary → follower WAL shipping) ---
-	// New endpoints, v1-only per the frozen-alias policy. Authenticated by
-	// the shared replication secret, not by user sessions or pairings.
+	// Authenticated by the shared replication secret, not by user sessions
+	// or pairings.
 	reg("GET", "/replication/snapshot", a.replAuthed(a.handleReplSnapshot))
 	reg("GET", "/replication/wal", a.replAuthed(a.handleReplWAL))
 
 	// --- Cluster (consistent-hash owner sharding) ---
-	// v1-only. The topology probe is open like healthz; the migration
-	// admin routes share the replication secret's bearer auth.
+	// The topology probe is open like healthz; the migration admin routes
+	// share the replication secret's bearer auth.
 	reg("GET", "/cluster", http.HandlerFunc(a.handleClusterInfo))
 	reg("PUT", "/cluster/ring", a.replAuthed(a.handleRingUpdate))
 	reg("GET", "/cluster/owners", a.replAuthed(a.handleOwnerStats))
@@ -178,29 +161,27 @@ func (a *AM) Handler() http.Handler {
 	reg("POST", "/cluster/import", a.replAuthed(a.handleClusterImport))
 
 	// --- Rebalance (the self-rebalancing coordinator; see rebalance.go) ---
-	// v1-only, replication-secret bearer auth: starting, watching and
-	// aborting a bulk owner migration are operator actions on the same
-	// trust level as the migration routes the coordinator drives.
+	// Replication-secret bearer auth: starting, watching and aborting a
+	// bulk owner migration are operator actions on the same trust level as
+	// the migration routes the coordinator drives.
 	reg("POST", "/rebalance", a.replAuthed(a.handleRebalanceStart))
 	reg("GET", "/rebalance", a.replAuthed(a.handleRebalanceStatus))
 	reg("DELETE", "/rebalance", a.replAuthed(a.handleRebalanceAbort))
 
 	// --- Event control plane (SSE) ---
-	// v1-only. One server-push surface for invalidation, consent and
-	// replication signals; each route authenticates for its audience
-	// (session or repl bearer / consent ticket capability / pairing HMAC).
-	// /events authenticates internally (session or repl bearer) and
-	// stays unlimited — follower tailing must never be throttled; the
-	// public consent stream rides the IP tier, the invalidation stream
-	// its pairing's bucket (one charge per subscription, not per event).
+	// One server-push surface for invalidation, consent and replication
+	// signals; each route authenticates for its audience (session or repl
+	// bearer / consent ticket capability / pairing HMAC). /events
+	// authenticates internally (session or repl bearer) and stays
+	// unlimited — follower tailing must never be throttled; the public
+	// consent stream rides the IP tier, the invalidation stream its
+	// pairing's bucket (one charge per subscription, not per event).
 	reg("GET", "/events", http.HandlerFunc(a.handleEvents))
 	reg("GET", "/events/consent", a.ipLimited(costMutation, http.HandlerFunc(a.handleEventsConsent)))
 	reg("GET", "/events/invalidation", a.signed(verifier, costMutation, a.handleEventsInvalidation))
 
 	// --- Operational ---
-	// healthz predates v1 and keeps its alias; readyz and metrics are new
-	// endpoints, so per the frozen-alias policy they exist under /v1 only.
-	regSame("GET", "/healthz", http.HandlerFunc(a.handleHealthz))
+	reg("GET", "/healthz", http.HandlerFunc(a.handleHealthz))
 	reg("GET", "/readyz", http.HandlerFunc(a.handleReadyz))
 	reg("GET", "/metrics", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		eventsHealth := a.broker.Health()

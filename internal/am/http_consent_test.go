@@ -68,7 +68,7 @@ func TestHTTPConsentEndpoints(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 	// Bad body on resolve → 400.
-	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/consents/x", nil)
+	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/consents/x", nil)
 	req.Header.Set("X-Umac-User", "bob")
 	r2, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -32,9 +32,14 @@ func newHTTPFixture(t *testing.T) *httpFixture {
 	return &httpFixture{am: a, srv: srv}
 }
 
-// do issues a request as the given (header-authenticated) user.
+// do issues a request as the given (header-authenticated) user. path is
+// relative to the API version prefix ("/policies" means "/v1/policies");
+// an already-prefixed path is sent as is.
 func (f *httpFixture) do(t *testing.T, user, method, path string, body any) *http.Response {
 	t.Helper()
+	if !strings.HasPrefix(path, APIVersionPrefix+"/") {
+		path = APIVersionPrefix + path
+	}
 	var rdr io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
@@ -83,21 +88,18 @@ func simplePolicy(owner string) policy.Policy {
 
 func TestHTTPHealthz(t *testing.T) {
 	f := newHTTPFixture(t)
-	// Both the legacy alias and the canonical v1 path serve the upgraded
-	// subsystem-health report.
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		resp := f.do(t, "", http.MethodGet, path, nil)
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
-		}
-		body := decodeBody[map[string]any](t, resp)
-		if body["status"] != "ok" {
-			t.Fatalf("%s body = %v", path, body)
-		}
-		for _, key := range []string{"store", "audit"} {
-			if _, ok := body[key].(map[string]any); !ok {
-				t.Fatalf("%s body missing %s report: %v", path, key, body)
-			}
+	// The probe serves the subsystem-health report.
+	resp := f.do(t, "", http.MethodGet, "/healthz", nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	body := decodeBody[map[string]any](t, resp)
+	if body["status"] != "ok" {
+		t.Fatalf("body = %v", body)
+	}
+	for _, key := range []string{"store", "audit"} {
+		if _, ok := body[key].(map[string]any); !ok {
+			t.Fatalf("body missing %s report: %v", key, body)
 		}
 	}
 }
@@ -199,7 +201,7 @@ func TestHTTPPolicyExportImport(t *testing.T) {
 		resp.Body.Close()
 
 		// Import into alice's account.
-		req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/policies/import?format="+format,
+		req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/policies/import?format="+format,
 			bytes.NewReader(exported))
 		req.Header.Set(identity.DefaultUserHeader, "alice")
 		resp2, err := http.DefaultClient.Do(req)
@@ -282,7 +284,7 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	u := f.srv.URL + "/pair/confirm?" + url.Values{
+	u := f.srv.URL + "/v1/pair/confirm?" + url.Values{
 		core.ParamHost:     {"webpics"},
 		"host_url":         {"http://pics.example"},
 		core.ParamReturnTo: {"http://pics.example/umac/pair/callback?am=x"},
@@ -304,7 +306,7 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 	}
 	// The code exchanges for a pairing.
 	body, _ := json.Marshal(map[string]string{"code": code, "host": "webpics"})
-	resp2, err := http.Post(f.srv.URL+"/api/pair/exchange", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(f.srv.URL+"/v1/api/pair/exchange", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +321,7 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 		t.Fatalf("pairings = %+v", pairings)
 	}
 	// Revoke over HTTP.
-	resp4 := f.do(t, "bob", http.MethodPost, "/pairings/"+pairings[0].ID+"/revoke", map[string]string{})
+	resp4 := f.do(t, "bob", http.MethodDelete, "/pairings/"+pairings[0].ID, nil)
 	resp4.Body.Close()
 	if resp4.StatusCode != 200 {
 		t.Fatalf("revoke status = %d", resp4.StatusCode)
@@ -342,7 +344,7 @@ func TestHTTPPairConfirmWithoutReturnToGivesJSON(t *testing.T) {
 func TestHTTPExchangeBadCode(t *testing.T) {
 	f := newHTTPFixture(t)
 	body, _ := json.Marshal(map[string]string{"code": "code-bogus", "host": "webpics"})
-	resp, err := http.Post(f.srv.URL+"/api/pair/exchange", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(f.srv.URL+"/v1/api/pair/exchange", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +356,7 @@ func TestHTTPExchangeBadCode(t *testing.T) {
 
 func TestHTTPSignedEndpointsRejectUnsigned(t *testing.T) {
 	f := newHTTPFixture(t)
-	for _, path := range []string{"/api/protect", "/api/decision", "/api/decision/pull", "/api/decision/state"} {
+	for _, path := range []string{"/v1/api/protect", "/v1/api/decision", "/v1/api/decision/pull", "/v1/api/decision/state"} {
 		resp, err := http.Post(f.srv.URL+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
@@ -375,7 +377,7 @@ func TestHTTPSignedEndpointRejectsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"pairing_id":"x","user":"bob","realm":"travel"}`)
-	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/api/protect", bytes.NewReader(payload))
+	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/api/protect", bytes.NewReader(payload))
 	req.Header.Set("Content-Type", "application/json")
 	if err := httpsig.Sign(req, pr.PairingID, pr.Secret); err != nil {
 		t.Fatal(err)
@@ -389,7 +391,7 @@ func TestHTTPSignedEndpointRejectsReplay(t *testing.T) {
 		t.Fatalf("first request status = %d", resp.StatusCode)
 	}
 	// Identical signed request again: replayed nonce → 409.
-	req2, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/api/protect", bytes.NewReader(payload))
+	req2, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/api/protect", bytes.NewReader(payload))
 	for _, h := range []string{"X-Umac-Pairing", "X-Umac-Timestamp", "X-Umac-Nonce", "X-Umac-Signature"} {
 		req2.Header.Set(h, req.Header.Get(h))
 	}
@@ -418,7 +420,7 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 
 	post := func(body core.TokenRequest) *http.Response {
 		b, _ := json.Marshal(body)
-		resp, err := http.Post(f.srv.URL+"/token", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(f.srv.URL+"/v1/token", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +457,7 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 		t.Fatalf("unknown realm status = %d", resp.StatusCode)
 	}
 	// Garbage body → 400.
-	respG, err := http.Post(f.srv.URL+"/token", "application/json", strings.NewReader("{nope"))
+	respG, err := http.Post(f.srv.URL+"/v1/token", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +466,7 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 		t.Fatalf("garbage status = %d", respG.StatusCode)
 	}
 	// Token status for unknown ticket → 404.
-	respS, err := http.Get(f.srv.URL + "/token/status?ticket=ticket-none")
+	respS, err := http.Get(f.srv.URL + "/v1/token/status?ticket=ticket-none")
 	if err != nil {
 		t.Fatal(err)
 	}

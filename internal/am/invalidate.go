@@ -1,79 +1,33 @@
 package am
 
-import (
-	"bytes"
-	"encoding/json"
-	"net/http"
-	"sync"
+import "umac/internal/core"
 
-	"umac/internal/core"
-	"umac/internal/httpsig"
-)
-
-// This file implements decision-cache invalidation push, realising the
-// Section V.B.5 requirement that "the AM may provide a User with mechanisms
-// to control caching of access control decisions" beyond passive TTLs:
-// when a user edits policies, groups or links, the AM notifies every paired
-// Host (over the signed channel) to drop cached decisions, so revocations
-// take effect immediately rather than at TTL expiry. The push names the
-// realms/resources the change affects, so Hosts evict only the matching
-// entries and unrelated cached decisions keep serving locally.
+// This file implements decision-cache invalidation, realising the Section
+// V.B.5 requirement that "the AM may provide a User with mechanisms to
+// control caching of access control decisions" beyond passive TTLs: when a
+// user edits policies, groups or links, the AM publishes the affected scope
+// on its event control plane, and every Host subscribed to the owner's
+// GET /v1/events/invalidation stream drops the matching cached decisions,
+// so revocations take effect immediately rather than at TTL expiry. The
+// event names the realms/resources the change affects, so Hosts evict only
+// the matching entries and unrelated cached decisions keep serving locally.
 //
-// Delivery is best-effort and asynchronous — a Host that misses the push
-// still converges at TTL expiry, so the TTL remains the correctness bound
-// and the push is a freshness optimisation.
+// Delivery is best-effort — a Host that is not subscribed (or whose stream
+// is down) still converges at TTL expiry, so the TTL remains the
+// correctness bound and the event is a freshness optimisation.
 
-// InvalidatePath is the Host endpoint the AM posts to.
-const InvalidatePath = "/umac/invalidate"
-
-// invalidator delivers cache-invalidation pushes to paired hosts.
-type invalidator struct {
-	client *http.Client
-
-	mu      sync.Mutex
-	pending sync.WaitGroup
-}
-
-// EnableInvalidationPush turns on best-effort invalidation pushes using the
-// given HTTP client (nil means http.DefaultClient). Without this call the
-// AM never contacts Hosts spontaneously (the paper's base protocol).
-func (a *AM) EnableInvalidationPush(client *http.Client) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.inval = &invalidator{client: client}
-}
-
-// FlushInvalidations blocks until all in-flight pushes complete (tests).
-func (a *AM) FlushInvalidations() {
-	a.mu.Lock()
-	inv := a.inval
-	a.mu.Unlock()
-	if inv != nil {
-		inv.pending.Wait()
-	}
-}
-
-// pushInvalidation notifies every non-revoked pairing of owner's Hosts.
+// pushInvalidation drops the compiled decision index entries a PAP
+// mutation can have affected and publishes the scoped invalidation event.
 // Call sites are the PAP mutations (policy update/delete, link changes,
-// group changes). realms and resources scope the push to the cache entries
-// the mutation can have affected — the Host evicts only those, so a policy
-// edit on one realm no longer stampedes the AM with re-queries for every
-// other cached decision. Both empty means "evict everything of owner's"
-// (used for group changes, which may affect any policy).
+// group changes). realms and resources scope the event to the cache
+// entries the mutation can have affected — a Host evicts only those, so a
+// policy edit on one realm does not stampede the AM with re-queries for
+// every other cached decision. Both empty means "evict everything of
+// owner's" (used for group changes, which may affect any policy).
 func (a *AM) pushInvalidation(owner core.UserID, realms []core.RealmID, resources []core.ResourceID) {
 	// The compiled decision index keys its entries by the same scope, and
-	// unlike Host caches it has no TTL backstop — drop its entries first,
-	// whether or not Host pushes are enabled.
-	if a.index != nil {
-		a.index.invalidate(owner, realms, resources)
-	}
-	// Publish to the event control plane regardless of whether legacy POST
-	// pushes are enabled: stream subscribers (GET /v1/events) get scoped
-	// invalidation without the AM dialing out, and the POST path below
-	// stays as the fallback for Hosts that do not subscribe.
+	// unlike Host caches it has no TTL backstop — drop its entries first.
+	a.index.invalidate(owner, realms, resources)
 	a.broker.Publish(core.Event{
 		Type:  core.EventInvalidation,
 		Owner: owner,
@@ -83,41 +37,4 @@ func (a *AM) pushInvalidation(owner core.UserID, realms []core.RealmID, resource
 			Resources: resources,
 		},
 	})
-	a.mu.Lock()
-	inv := a.inval
-	a.mu.Unlock()
-	if inv == nil {
-		return
-	}
-	body, err := json.Marshal(core.InvalidationPush{
-		Owner:     owner,
-		Realms:    realms,
-		Resources: resources,
-	})
-	if err != nil {
-		return
-	}
-	for _, p := range a.Pairings(owner) {
-		if p.Revoked || p.HostURL == "" {
-			continue
-		}
-		inv.pending.Add(1)
-		go func(p Pairing) {
-			defer inv.pending.Done()
-			req, err := http.NewRequest(http.MethodPost, p.HostURL+InvalidatePath,
-				bytes.NewReader(body))
-			if err != nil {
-				return
-			}
-			req.Header.Set("Content-Type", "application/json")
-			if err := httpsig.Sign(req, p.ID, p.Secret); err != nil {
-				return
-			}
-			resp, err := inv.client.Do(req)
-			if err != nil {
-				return // best effort; TTL expiry is the fallback
-			}
-			resp.Body.Close()
-		}(p)
-	}
 }

@@ -123,7 +123,8 @@ func (a *AM) grantTokenWithConsent(req core.TokenRequest, realm Realm) (core.Tok
 	return core.TokenResponse{Token: tok, Realm: req.Realm, ExpiresAt: claims.ExpiresAt}, nil
 }
 
-// evaluate builds the policy request and runs the two-stage engine.
+// evaluate builds the policy request and runs the two-stage engine over
+// the compiled decision index.
 func (a *AM) evaluate(req core.TokenRequest, realm Realm, consent bool) policy.Result {
 	preq := policy.Request{
 		Subject:        req.Subject,
@@ -134,11 +135,6 @@ func (a *AM) evaluate(req core.TokenRequest, realm Realm, consent bool) policy.R
 		Owner:          realm.Owner,
 		Claims:         req.Claims,
 		ConsentGranted: consent,
-	}
-	if a.index == nil {
-		general := a.generalPolicyFor(realm.Owner, req.Realm)
-		specific := a.specificPolicyFor(realm.Owner, req.Host, req.Resource)
-		return a.engine.Evaluate(preq, general, specific)
 	}
 	// The compiled index resolves both links without touching the store on
 	// a hit and hands the engine pre-filtered candidate rules per action.

@@ -33,9 +33,6 @@ func indexSizes(a *AM) (gen, spec int) {
 func TestDecisionIndexFillsAndServes(t *testing.T) {
 	a, _ := newTestAM(t)
 	pairing := setupProtected(t, a)
-	if a.index == nil {
-		t.Fatal("decision index not enabled by default")
-	}
 	dec, err := decideRead(t, a, pairing.PairingID)
 	if err != nil || !dec.Permit() {
 		t.Fatalf("decision = %+v err=%v", dec, err)
@@ -145,18 +142,6 @@ func TestDecisionIndexSpecificLinkInvalidation(t *testing.T) {
 	}
 	if dec, _ := decideRead(t, a, pairing.PairingID); !dec.Permit() {
 		t.Fatal("deny served from index after unlink")
-	}
-}
-
-func TestDecisionIndexDisabledMatchesScanPath(t *testing.T) {
-	a := New(Config{Name: "scanonly", BaseURL: "http://am.test", DisableDecisionIndex: true})
-	if a.index != nil {
-		t.Fatal("index allocated despite DisableDecisionIndex")
-	}
-	pairing := setupProtected(t, a)
-	dec, err := decideRead(t, a, pairing.PairingID)
-	if err != nil || !dec.Permit() {
-		t.Fatalf("scan-path decision = %+v err=%v", dec, err)
 	}
 }
 

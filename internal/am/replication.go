@@ -413,9 +413,7 @@ func (a *AM) syncOnce(client *http.Client, wait time.Duration) error {
 		// Policy and link records change what the compiled decision index
 		// resolves; the index has no TTL, so replicated changes must drop
 		// its entries just like local PAP mutations do.
-		if a.index != nil {
-			a.index.applyRecord(rec)
-		}
+		a.index.applyRecord(rec)
 		a.replApplied.Add(1)
 	}
 	a.replPrimarySeq.Store(page.LastSeq)
@@ -444,9 +442,7 @@ func (a *AM) bootstrap(client *http.Client) error {
 	// the compiled decision index to match it.
 	a.groups.rebuild()
 	a.restoreRing()
-	if a.index != nil {
-		a.index.reset()
-	}
+	a.index.reset()
 	a.replApplied.Add(int64(len(snap.Records)))
 	a.replPrimarySeq.Store(snap.Seq)
 	a.setReplConnected(true)

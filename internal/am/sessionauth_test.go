@@ -44,7 +44,7 @@ func TestAMWithCookieSessionAuth(t *testing.T) {
 		Owner: "bob", Kind: policy.KindGeneral,
 		Rules: []policy.Rule{{Effect: policy.EffectPermit, Subjects: []policy.Subject{{Type: policy.SubjectEveryone}}}},
 	})
-	resp, err := http.Post(srv.URL+"/policies", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(srv.URL+"/v1/policies", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAMWithCookieSessionAuth(t *testing.T) {
 	}
 
 	// With the cookie, the same create succeeds and is owned by bob.
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/policies", bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/policies", bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
 	req.AddCookie(cookies[0])
 	resp, err = http.DefaultClient.Do(req)

@@ -67,9 +67,6 @@ type Config struct {
 	// Only operator tooling (umacctl migrate-owner, the sim harness)
 	// should set it.
 	ReplSecret string
-	// Legacy pins the client to the pre-v1 alias paths. Used by the
-	// compatibility tests; new code should leave it false.
-	Legacy bool
 	// Retry429 bounds how many times a rate_limited (429) answer is
 	// retried against the same endpoint before the error surfaces to the
 	// caller: 0 selects the default (3), a negative value disables
@@ -143,11 +140,7 @@ func (c *Client) BaseURL() string { return c.endpoints[c.cur.Load()] }
 
 // urlAt joins one endpoint, the version prefix and the route path + query.
 func (c *Client) urlAt(base, path string, q url.Values) string {
-	u := base
-	if !c.cfg.Legacy {
-		u += "/v1"
-	}
-	u += path
+	u := base + "/v1" + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
@@ -399,19 +392,14 @@ func ComposeURL(amURL string, q url.Values) string {
 const maxErrorBody = 64 << 10
 
 // decodeError turns a non-2xx response into *core.APIError. Structured
-// envelopes pass through; legacy {"error": "..."} bodies and non-JSON
-// bodies degrade to code "unknown" with the raw text as message.
+// envelopes pass through; bodies without a code (proxies, non-AM servers)
+// degrade to code "unknown" with the raw text as message.
 func decodeError(resp *http.Response) error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
-	var envelope struct {
-		core.APIError
-		LegacyError string `json:"error"`
-	}
-	if err := json.Unmarshal(raw, &envelope); err == nil {
-		e := envelope.APIError
+	var e core.APIError
+	if err := json.Unmarshal(raw, &e); err == nil {
 		if e.Code == "" {
 			e.Code = core.CodeUnknown
-			e.Message = envelope.LegacyError
 		}
 		if e.Message == "" {
 			e.Message = strings.TrimSpace(string(raw))

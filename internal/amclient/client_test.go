@@ -252,31 +252,6 @@ func TestErrorTyping(t *testing.T) {
 	}
 }
 
-// TestLegacyMode pins the client to the pre-v1 alias paths and proves the
-// whole flow still works — the compatibility contract for old Hosts.
-func TestLegacyMode(t *testing.T) {
-	f := newFixture(t)
-	bob := amclient.New(amclient.Config{BaseURL: f.srv.URL, User: "bob", Legacy: true})
-	created, err := bob.CreatePolicy(testPolicy("bob", "p1"))
-	if err != nil {
-		t.Fatalf("legacy create: %v", err)
-	}
-	if _, err := bob.GetPolicy(created.ID); err != nil {
-		t.Fatalf("legacy get: %v", err)
-	}
-
-	code, _ := f.am.ApprovePairing(core.PairingRequest{Host: "webpics", User: "bob"})
-	legacyOpen := amclient.New(amclient.Config{BaseURL: f.srv.URL, Legacy: true})
-	pr, err := legacyOpen.ExchangePairingCode(code, "webpics")
-	if err != nil {
-		t.Fatalf("legacy exchange: %v", err)
-	}
-	// Legacy revoke uses the POST …/revoke alias.
-	if err := bob.RevokePairing(pr.PairingID); err != nil {
-		t.Fatalf("legacy revoke: %v", err)
-	}
-}
-
 // TestPagination drives limit/offset through the client.
 func TestPagination(t *testing.T) {
 	f := newFixture(t)

@@ -24,11 +24,11 @@ import (
 // exponential backoff. Gaps (slow consumer, rolled replay window) arrive
 // in-band as core.EventResync events — the caller decides what re-sync
 // means for it. After MaxAttempts consecutive failed connections Next
-// returns ErrStreamFailed, the signal to fall back to polling.
+// returns ErrStreamFailed.
 
 // ErrStreamFailed reports that the event stream could not be (re-)
-// established after StreamConfig.MaxAttempts consecutive attempts. The
-// caller should fall back to its polling path; the stream may be retried
+// established after StreamConfig.MaxAttempts consecutive attempts, or that
+// the server rejected the subscription outright. The stream may be retried
 // later by calling Next again (the attempt counter restarts).
 var ErrStreamFailed = errors.New("amclient: event stream failed")
 
@@ -155,9 +155,9 @@ func (s *EventStream) abort() {
 // before trusting subsequent events. When the stream cannot be
 // established after MaxAttempts consecutive tries — or the server rejects
 // the subscription outright (4xx) — Next returns an error wrapping
-// ErrStreamFailed and the underlying cause; the caller falls back to
-// polling. ctx bounds this call AND the connection: cancellation severs
-// the stream (the next call redials with the cursor).
+// ErrStreamFailed and the underlying cause. ctx bounds this call AND the
+// connection: cancellation severs the stream (the next call redials with
+// the cursor).
 func (s *EventStream) Next(ctx context.Context) (core.Event, error) {
 	// Unblock a parked body read when ctx ends.
 	stop := context.AfterFunc(ctx, s.abort)
@@ -256,7 +256,7 @@ func (s *EventStream) connect(ctx context.Context) error {
 		if !retryable {
 			// The subscription itself is rejected (bad ticket, bad auth, or
 			// an AM without the events surface at all): retrying cannot
-			// help, fall back now.
+			// help, give up now.
 			return fmt.Errorf("%w: %v", ErrStreamFailed, err)
 		}
 		s.mu.Lock()
@@ -284,9 +284,10 @@ func (s *EventStream) connect(ctx context.Context) error {
 // first Next call. When it returns nil the server has registered the
 // subscriber (the AM subscribes to its broker before writing the response
 // headers), so events published afterwards will be delivered — the
-// ordering guarantee loadgen's consent storm and any
-// subscribe-then-trigger caller needs. On a rejected subscription or an
-// exhausted attempt budget it returns an error wrapping ErrStreamFailed.
+// ordering guarantee the requester's consent wait, the PEP's invalidation
+// stream and any subscribe-then-trigger caller needs. On a rejected
+// subscription or an exhausted attempt budget it returns an error wrapping
+// ErrStreamFailed.
 func (s *EventStream) Connect(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, s.abort)
 	defer stop()

@@ -222,7 +222,7 @@ func TestEventStreamConnectRegistersSubscription(t *testing.T) {
 // TestEventStreamPermanentRejectionFailsFast: a non-retryable status
 // (here a plain 404, the shape of an AM without the events surface) must
 // surface ErrStreamFailed on the first attempt — the caller's signal to
-// fall back to polling — not burn the whole backoff budget.
+// give up — not burn the whole backoff budget.
 func TestEventStreamPermanentRejectionFailsFast(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such route", http.StatusNotFound)

@@ -278,15 +278,10 @@ func (c *Client) Pairings(owner core.UserID, page Page) ([]core.PairingInfo, err
 	return out, err
 }
 
-// RevokePairing severs a pairing: the Host's signed calls stop verifying
-// immediately. Unknown IDs are a not_paired APIError. The canonical form
-// is DELETE /v1/pairings/{id}; in Legacy mode the pre-v1
-// POST /pairings/{id}/revoke alias is used instead.
+// RevokePairing severs a pairing (DELETE /v1/pairings/{id}): the Host's
+// signed calls stop verifying immediately. Unknown IDs are a not_paired
+// APIError.
 func (c *Client) RevokePairing(id string) error {
-	if c.cfg.Legacy {
-		return c.do(http.MethodPost, "/pairings/"+url.PathEscape(id)+"/revoke", nil,
-			struct{}{}, nil)
-	}
 	return c.do(http.MethodDelete, "/pairings/"+url.PathEscape(id), nil, nil, nil)
 }
 

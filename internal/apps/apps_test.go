@@ -37,14 +37,18 @@ func newFixture(t *testing.T) *fixture {
 	w := sim.NewWorld()
 	t.Cleanup(w.Close)
 
+	// Cleanups run last-registered first: each app closes its invalidation
+	// streams before the AM server (registered above) is shut down.
 	st := storage.New(storage.Config{HostID: "storage", Tracer: w.Tracer})
 	stSrv := httptest.NewServer(st.Handler())
 	t.Cleanup(stSrv.Close)
+	t.Cleanup(func() { st.Close() })
 	st.Enforcer.SetBaseURL(stSrv.URL)
 
 	g := gallery.New(gallery.Config{HostID: "gallery", Tracer: w.Tracer})
 	gSrv := httptest.NewServer(g.Handler())
 	t.Cleanup(gSrv.Close)
+	t.Cleanup(func() { g.Close() })
 	g.Enforcer.SetBaseURL(gSrv.URL)
 
 	return &fixture{world: w, storage: st, storageSrv: stSrv, gallery: g, gallerySrv: gSrv}
@@ -345,6 +349,70 @@ func TestStorageBacksUpGallery(t *testing.T) {
 	}
 	if !bytes.Equal(got, photo) {
 		t.Fatal("backup bytes mismatch")
+	}
+}
+
+// TestGalleryRevocationReachesHostImmediately: the gallery subscribed
+// bob's invalidation stream when his pairing callback completed, so
+// revoking the policy at the AM denies the very next read — no waiting out
+// the decision-cache TTL (60s by default).
+func TestGalleryRevocationReachesHostImmediately(t *testing.T) {
+	f := newFixture(t)
+	if err := f.gallery.AddPhoto("bob", "holiday", "sunset.png", pngBytes(t)); err != nil {
+		t.Fatal(err)
+	}
+	bob := sim.NewUserAgent("bob")
+	if err := bob.PairEnforcer(f.gallery.Enforcer, f.world.AMServer.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.gallery.Enforcer.Protect("bob", "holiday", nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	p, err := f.world.AM.CreatePolicy("bob", policy.Policy{
+		Owner: "bob", Kind: policy.KindGeneral,
+		Rules: []policy.Rule{{
+			Effect:   policy.EffectPermit,
+			Subjects: []policy.Subject{{Type: policy.SubjectUser, Name: "alice"}},
+			Actions:  []core.Action{core.ActionRead},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := f.gallery.Enforcer.Cache()
+	// The link's own event arriving proves the stream is live, and waiting
+	// for it keeps it from evicting the read cached below.
+	gen := cache.Gen()
+	if err := f.world.AM.LinkGeneral("bob", "holiday", p.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AwaitInvalidation(cache, gen); err != nil {
+		t.Fatal(err)
+	}
+
+	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
+	url := gallery.PhotoURL(f.gallerySrv.URL, "bob", "holiday", "sunset.png")
+	if _, err := alice.Fetch(url, core.ActionRead); err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache len = %d, want the permit cached", n)
+	}
+
+	gen = cache.Gen()
+	if err := f.world.AM.DeletePolicy("bob", p.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AwaitInvalidation(cache, gen); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := alice.Get(url, core.ActionRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusForbidden {
+		t.Fatalf("read after revocation = %d, want 403", resp.StatusCode)
 	}
 }
 

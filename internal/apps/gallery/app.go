@@ -74,6 +74,11 @@ func New(cfg Config) *App {
 	}
 }
 
+// Close stops the enforcer's invalidation streams (one per owner paired
+// through the callback). The HTTP surface keeps enforcing afterwards, with
+// the decision-cache TTL as the only freshness bound.
+func (a *App) Close() error { return a.Enforcer.Close() }
+
 // CreateAlbum makes an empty album for owner.
 func (a *App) CreateAlbum(owner core.UserID, name string) {
 	a.mu.Lock()
@@ -174,11 +179,11 @@ func (a *App) authorize(w http.ResponseWriter, r *http.Request, owner core.UserI
 //	POST /photos/{owner}/{album}/{photo}/edit       edit photo (write)
 //	POST /import                                    act as Requester: load a
 //	                                                photo from another Host
-//	/umac/pair/callback                             pairing leg (Fig. 3)
+//	/umac/pair/callback                             pairing leg (Fig. 3); subscribes
+//	                                                the owner's invalidation stream
 func (a *App) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/umac/pair/callback", a.Enforcer.HandlePairCallback)
-	mux.HandleFunc("POST /umac/invalidate", a.Enforcer.HandleInvalidate)
 
 	mux.HandleFunc("GET /albums/{owner}/{album}", func(w http.ResponseWriter, r *http.Request) {
 		owner := core.UserID(r.PathValue("owner"))

@@ -67,6 +67,11 @@ func New(cfg Config) *App {
 	}
 }
 
+// Close stops the enforcer's invalidation streams (one per owner paired
+// through the callback). The HTTP surface keeps enforcing afterwards, with
+// the decision-cache TTL as the only freshness bound.
+func (a *App) Close() error { return a.Enforcer.Close() }
+
 // Tree returns (creating if needed) the owner's file tree.
 func (a *App) Tree(owner core.UserID) *FS {
 	a.mu.Lock()
@@ -110,11 +115,11 @@ func (a *App) authorize(w http.ResponseWriter, r *http.Request, owner core.UserI
 //	                                  resource into the tree (Section VI:
 //	                                  "it may act as a backup service for
 //	                                  online photo albums")
-//	/umac/pair/callback               pairing leg (Fig. 3)
+//	/umac/pair/callback               pairing leg (Fig. 3); subscribes the
+//	                                  owner's invalidation stream
 func (a *App) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/umac/pair/callback", a.Enforcer.HandlePairCallback)
-	mux.HandleFunc("POST /umac/invalidate", a.Enforcer.HandleInvalidate)
 
 	mux.HandleFunc("GET /files/{owner}/{path...}", func(w http.ResponseWriter, r *http.Request) {
 		owner := core.UserID(r.PathValue("owner"))

@@ -79,7 +79,7 @@ const (
 	// Not retryable — the same payload will be rejected again.
 	CodeRequestTooLarge = "request_too_large"
 	// CodeUnknown is used client-side for error responses that carry no
-	// machine-readable code (pre-v1 servers, proxies).
+	// machine-readable code (proxies, non-AM servers).
 	CodeUnknown = "unknown"
 )
 
@@ -143,7 +143,7 @@ type APIError struct {
 }
 
 // Error implements error. Responses without a machine-readable code
-// (pre-v1 servers) fall back to the HTTP status as the classifier.
+// (proxies, non-AM servers) fall back to the HTTP status as the classifier.
 func (e *APIError) Error() string {
 	if e.Code == "" || e.Code == CodeUnknown {
 		return fmt.Sprintf("status %d: %s", e.Status, e.Message)

@@ -14,7 +14,7 @@ type EventType string
 // Event types carried on the /v1/events stream.
 const (
 	// EventInvalidation: a PAP mutation invalidated cached decisions; the
-	// payload scopes the eviction exactly like the legacy POST push.
+	// payload names the owner and the realms/resources to evict.
 	EventInvalidation EventType = "invalidation"
 	// EventConsent: an owner resolved a pending consent ticket; the
 	// payload carries the outcome (and the minted token on approval).

@@ -201,8 +201,9 @@ type BatchDecisionResponse struct {
 	Results []BatchDecisionResult `json:"results"`
 }
 
-// InvalidationPush is the AM→Host body of a decision-cache invalidation
-// push (Section V.B.5). Realms and Resources scope the eviction to the
+// InvalidationPush is the payload of a decision-cache invalidation event
+// on the AM's invalidation stream (Section V.B.5). Realms and Resources
+// scope the eviction to the
 // cache entries a policy change can actually have affected; when both are
 // empty every entry for Owner is dropped (the conservative form, used for
 // group-membership changes which may affect any of the owner's policies).

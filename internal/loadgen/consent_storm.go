@@ -27,8 +27,7 @@ import (
 // zero-loss contract applied to notifications.
 
 // pollInterval is the baseline's TokenStatus cadence — the latency class
-// the stream has to beat. DefaultConsentPollInterval in the requester is
-// 1s; 150ms is a deliberately generous baseline.
+// the stream has to beat; 150ms is a deliberately generous baseline.
 const pollInterval = 150 * time.Millisecond
 
 // notifyTimeout bounds one resolution→notification wait. On loopback a

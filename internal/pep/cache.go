@@ -38,11 +38,6 @@ type DecisionCache struct {
 	perShard int
 	now      func() time.Time
 
-	// scoped can be switched off (SetScopedInvalidation) to degrade
-	// InvalidateScope to the historical drop-all behaviour; the churn
-	// benchmarks use it as the A/B lever.
-	scoped atomic.Bool
-
 	// gen counts invalidations. A decision-query response that was in
 	// flight when an invalidation landed must not be written back (it was
 	// evaluated under the old policy); fills capture Gen() before querying
@@ -132,7 +127,6 @@ func NewDecisionCacheCap(capacity int) *DecisionCache {
 		perShard = 1
 	}
 	c := &DecisionCache{perShard: perShard, now: time.Now}
-	c.scoped.Store(true)
 	for i := range c.shards {
 		c.shards[i].byKey = make(map[string]*list.Element)
 		c.shards[i].lru = list.New()
@@ -143,11 +137,6 @@ func NewDecisionCacheCap(capacity int) *DecisionCache {
 // SetClock overrides the cache's time source for tests. Call before the
 // cache is shared between goroutines.
 func (c *DecisionCache) SetClock(now func() time.Time) { c.now = now }
-
-// SetScopedInvalidation toggles whether InvalidateScope honours its scope
-// (the default) or degrades to dropping every entry — the pre-scoping
-// behaviour, kept as the baseline for the invalidation benchmarks.
-func (c *DecisionCache) SetScopedInvalidation(enabled bool) { c.scoped.Store(enabled) }
 
 // cacheKey derives the cache key. The token identifies the (requester,
 // realm) grant; resource and action narrow it to the exact decision the AM
@@ -315,10 +304,6 @@ func (c *DecisionCache) Invalidate() {
 // edit does not force the Host to re-query every cached decision. Returns
 // how many entries were evicted.
 func (c *DecisionCache) InvalidateScope(scope Scope) int {
-	if !c.scoped.Load() {
-		c.Invalidate()
-		return 0
-	}
 	c.gen.Add(1)
 	var removed int
 	for i := range c.shards {

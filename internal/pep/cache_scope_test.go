@@ -188,18 +188,3 @@ func TestPutScopedAtDroppedAfterInvalidation(t *testing.T) {
 		t.Fatal("fresh fill dropped")
 	}
 }
-
-// TestDecisionCacheScopedDisabled: with scoping switched off (the
-// benchmark baseline), InvalidateScope degrades to drop-all.
-func TestDecisionCacheScopedDisabled(t *testing.T) {
-	c := NewDecisionCache()
-	key1, sc1 := scopedKey(1)
-	c.PutScoped(key1, sc1, true, 600)
-	c.PutScoped(cacheKey("tok", "other", core.ActionRead),
-		EntryScope{Owner: "carol", Realm: "r", Resource: "other"}, true, 600)
-	c.SetScopedInvalidation(false)
-	c.InvalidateScope(Scope{Owner: "bob", Realms: []core.RealmID{"travel"}})
-	if n := c.Len(); n != 0 {
-		t.Fatalf("drop-all mode left %d entries", n)
-	}
-}

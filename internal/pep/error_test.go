@@ -59,37 +59,3 @@ func TestCheckTokenProblemReferral(t *testing.T) {
 		t.Fatal("token-problem decision was cached")
 	}
 }
-
-// TestHandleInvalidateRejectsUnsigned: only the paired AM may clear caches.
-func TestHandleInvalidateRejectsUnsigned(t *testing.T) {
-	e := New(Config{Host: "webpics"})
-	e.Cache().Put("k", true, 600)
-	req, _ := http.NewRequest(http.MethodPost, "http://pics/umac/invalidate", nil)
-	rec := httptest.NewRecorder()
-	e.HandleInvalidate(rec, req)
-	if rec.Code != http.StatusUnauthorized {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if e.Cache().Len() != 1 {
-		t.Fatal("cache cleared by unsigned request")
-	}
-}
-
-// TestPairingSecretLookup covers the SecretSource across default and
-// realm-scoped pairings.
-func TestPairingSecretLookup(t *testing.T) {
-	e := New(Config{Host: "webpics"})
-	e.mu.Lock()
-	e.pairings["bob"] = Pairing{PairingID: "pair-default", Secret: "s1"}
-	e.realmPairings[realmKey{"bob", "work"}] = Pairing{PairingID: "pair-realm", Secret: "s2"}
-	e.mu.Unlock()
-	if s, ok := e.PairingSecret("pair-default"); !ok || s != "s1" {
-		t.Fatalf("default: %q %v", s, ok)
-	}
-	if s, ok := e.PairingSecret("pair-realm"); !ok || s != "s2" {
-		t.Fatalf("realm: %q %v", s, ok)
-	}
-	if _, ok := e.PairingSecret("pair-unknown"); ok {
-		t.Fatal("unknown pairing resolved")
-	}
-}

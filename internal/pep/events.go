@@ -12,11 +12,9 @@ import (
 // This file is the PEP's consumer of the AM's event control plane: a
 // subscription to GET /v1/events/invalidation (signed with the pairing
 // channel, like every Host→AM call) that applies scoped decision-cache
-// evictions the moment a policy changes — without the AM having to dial
-// back in through the legacy POST push, which stays mounted as the
-// fallback. The cache TTL remains the correctness backstop throughout:
-// losing the stream can only delay freshness, never grant stale access
-// beyond the TTL.
+// evictions the moment a policy changes — the AM never dials the Host. The
+// cache TTL remains the correctness backstop throughout: losing the stream
+// can only delay freshness, never grant stale access beyond the TTL.
 
 // DefaultStreamRetry is how long an invalidation subscription waits after
 // the stream failed persistently (ErrStreamFailed) before resubscribing.
@@ -24,16 +22,23 @@ const DefaultStreamRetry = 15 * time.Second
 
 // StartInvalidationStream subscribes the enforcer to owner's AM
 // invalidation events and applies them to the decision cache until Close.
-// On a persistent stream failure the whole cache is dropped once
+// It returns once the AM has registered the subscription, so every event
+// published after a nil return is applied (or, if lost, answered with a
+// resync that drops the cache); an error means no subscription was made.
+// On a later persistent stream failure the whole cache is dropped once
 // (fail-safe: evictions may have been missed) and the subscription
-// retries after Config.StreamRetry — the legacy push handler and the TTL
-// carry freshness in the meantime. Call once per paired owner.
+// retries after Config.StreamRetry — the TTL carries freshness in the
+// meantime. Call once per paired owner.
 func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 	p, ok := e.PairingFor(owner)
 	if !ok {
 		return core.ErrNotPaired
 	}
 	stream := e.amFor(p).Stream(amclient.StreamConfig{Path: "/events/invalidation"})
+	if err := stream.Connect(e.streamCtx); err != nil {
+		stream.Close()
+		return fmt.Errorf("pep: invalidation stream: %w", err)
+	}
 	e.streamWG.Add(1)
 	go func() {
 		defer e.streamWG.Done()
@@ -68,10 +73,10 @@ func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 	return nil
 }
 
-// applyEvent applies one stream event to the decision cache, mirroring
-// HandleInvalidate's semantics: scoped eviction when the event names an
-// owner, full drop on anything doubtful (resync markers, unscoped
-// payloads) — when in doubt, never leave a stale permit behind.
+// applyEvent applies one stream event to the decision cache: scoped
+// eviction when the event names an owner, full drop on anything doubtful
+// (resync markers, unscoped payloads) — when in doubt, never leave a stale
+// permit behind.
 func (e *Enforcer) applyEvent(ev core.Event) {
 	switch ev.Type {
 	case core.EventResync:

@@ -7,14 +7,16 @@ import (
 	"time"
 
 	"umac/internal/am"
+	"umac/internal/amclient"
 	"umac/internal/core"
 	"umac/internal/policy"
 )
 
 // These tests prove the PEP's consumer side of the event control plane:
-// StartInvalidationStream subscribes over the signed channel and applies
-// scoped evictions pushed by the AM — with no legacy POST push enabled —
-// and Close never waits out a parked stream read.
+// StartInvalidationStream subscribes over the signed channel before it
+// returns, applies scoped evictions pushed by the AM, reports a rejected
+// subscription as an error, and Close never waits out a parked stream
+// read.
 
 // streamFixture pairs an Enforcer with a live AM over HTTP.
 type streamFixture struct {
@@ -41,20 +43,6 @@ func newStreamFixture(t *testing.T, owner core.UserID) *streamFixture {
 	return &streamFixture{am: a, enf: e}
 }
 
-// waitSubscribed blocks until the AM sees at least one event subscriber.
-func (f *streamFixture) waitSubscribed(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		h := f.am.Events().Health()
-		if h.Subscribers[core.EventInvalidation] > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("stream never subscribed")
-}
-
 // waitEmpty blocks until the decision cache drains (eviction applied).
 func waitEmpty(t *testing.T, c *DecisionCache) {
 	t.Helper()
@@ -70,7 +58,7 @@ func waitEmpty(t *testing.T, c *DecisionCache) {
 
 // TestInvalidationStreamEvictsScoped: a PAP mutation at the AM reaches the
 // subscribed PEP and evicts exactly the affected scope — the AM never
-// dials the Host (no EnableInvalidationPush).
+// dials the Host.
 func TestInvalidationStreamEvictsScoped(t *testing.T) {
 	f := newStreamFixture(t, "bob")
 	if err := f.enf.Protect("bob", "travel", nil, ""); err != nil {
@@ -91,7 +79,6 @@ func TestInvalidationStreamEvictsScoped(t *testing.T) {
 	if err := f.enf.StartInvalidationStream("bob"); err != nil {
 		t.Fatal(err)
 	}
-	f.waitSubscribed(t)
 
 	cache := f.enf.Cache()
 	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "diary", core.ActionRead),
@@ -123,12 +110,48 @@ func TestInvalidationStreamUnscopedDropsAll(t *testing.T) {
 	if err := f.enf.StartInvalidationStream("bob"); err != nil {
 		t.Fatal(err)
 	}
-	f.waitSubscribed(t)
 	cache := f.enf.Cache()
 	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "diary", core.ActionRead),
 		EntryScope{Owner: "bob"}, true, 600)
 	f.am.Events().Publish(core.Event{Type: core.EventInvalidation})
 	waitEmpty(t, cache)
+}
+
+// TestInvalidationStreamAppliesEventRightAfterStart: StartInvalidationStream
+// returns only once the AM has registered the subscription, so an event
+// published the moment it returns is delivered — no waiting for the
+// subscriber count first.
+func TestInvalidationStreamAppliesEventRightAfterStart(t *testing.T) {
+	f := newStreamFixture(t, "bob")
+	cache := f.enf.Cache()
+	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "diary", core.ActionRead),
+		EntryScope{Owner: "bob", Realm: "travel"}, true, 600)
+	if err := f.enf.StartInvalidationStream("bob"); err != nil {
+		t.Fatal(err)
+	}
+	f.am.Events().Publish(core.Event{
+		Type: core.EventInvalidation, Owner: "bob",
+		Invalidation: &core.InvalidationPush{Owner: "bob", Realms: []core.RealmID{"travel"}},
+	})
+	waitEmpty(t, cache)
+}
+
+// TestInvalidationStreamRejectedIsError: a subscription the AM refuses
+// (here: a pairing secret the AM does not know) fails StartInvalidationStream
+// itself instead of leaving a goroutine retrying in the background.
+func TestInvalidationStreamRejectedIsError(t *testing.T) {
+	f := newStreamFixture(t, "bob")
+	f.enf.mu.Lock()
+	p := f.enf.pairings["bob"]
+	p.Secret = "not-the-pairing-secret"
+	f.enf.pairings["bob"] = p
+	f.enf.mu.Unlock()
+	if err := f.enf.StartInvalidationStream("bob"); !errors.Is(err, amclient.ErrStreamFailed) {
+		t.Fatalf("err = %v, want ErrStreamFailed", err)
+	}
+	if n := f.am.Events().Health().Subscribers[core.EventInvalidation]; n != 0 {
+		t.Fatalf("AM holds %d invalidation subscribers after a rejected start", n)
+	}
 }
 
 // TestStreamRequiresPairing: subscribing for an unpaired owner fails fast.
@@ -147,7 +170,6 @@ func TestClosePrompt(t *testing.T) {
 	if err := f.enf.StartInvalidationStream("bob"); err != nil {
 		t.Fatal(err)
 	}
-	f.waitSubscribed(t)
 	done := make(chan struct{})
 	go func() {
 		f.enf.Close()

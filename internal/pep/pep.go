@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -32,7 +31,6 @@ import (
 
 	"umac/internal/amclient"
 	"umac/internal/core"
-	"umac/internal/httpsig"
 	"umac/internal/store"
 )
 
@@ -114,9 +112,6 @@ type Enforcer struct {
 	cache   *DecisionCache
 	tracer  *core.Tracer
 	store   *store.Store // nil = memory-only pairings
-
-	verifierOnce sync.Once
-	verifier     *httpsig.Verifier
 
 	// streamCtx governs every subscription goroutine (see events.go):
 	// Close cancels it, which severs parked stream reads and reconnect
@@ -290,7 +285,11 @@ func (e *Enforcer) exchange(amURL, code string) (Pairing, error) {
 }
 
 // HandlePairCallback is the HTTP handler for the pairing redirect leg; Host
-// applications mount it at /umac/pair/callback.
+// applications mount it at /umac/pair/callback. Once the pairing is
+// installed it subscribes the owner's invalidation stream, so policy
+// changes at the AM reach this Host's decision cache at once rather than
+// at TTL expiry; a subscription that cannot be established leaves the
+// pairing in place with the TTL as the freshness bound.
 func (e *Enforcer) HandlePairCallback(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	amURL := q.Get(core.ParamAM)
@@ -304,62 +303,14 @@ func (e *Enforcer) HandlePairCallback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
+	if err := e.StartInvalidationStream(user); err != nil {
+		e.trace(core.PhaseDelegatingAccessControl, "host:"+string(e.host), "am",
+			"invalidation-stream-unavailable", err.Error())
+	}
 	// "a User is redirected back to the Host to be acknowledged that a
 	// secure communication channel has been established" (Section V.B.1).
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]string{"paired": string(user), "host": string(e.host)})
-}
-
-// PairingSecret implements httpsig.SecretSource over the enforcer's
-// pairings, letting the Host verify AM-originated signed calls (cache
-// invalidation pushes).
-func (e *Enforcer) PairingSecret(pairingID string) (string, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, p := range e.pairings {
-		if p.PairingID == pairingID {
-			return p.Secret, true
-		}
-	}
-	for _, p := range e.realmPairings {
-		if p.PairingID == pairingID {
-			return p.Secret, true
-		}
-	}
-	return "", false
-}
-
-// HandleInvalidate serves the AM→Host decision-cache invalidation push
-// (mounted at am.InvalidatePath). The request must be signed with a known
-// pairing secret. The body (core.InvalidationPush) names the owner and the
-// realms/resources a policy change affected; only the matching cache
-// entries are evicted, so unrelated cached decisions keep serving locally
-// while the change still takes effect immediately (Section V.B.5). A push
-// that names no owner — or an unreadable body — degrades to dropping the
-// whole cache: when in doubt, never leave a stale permit behind.
-func (e *Enforcer) HandleInvalidate(w http.ResponseWriter, r *http.Request) {
-	e.verifierOnce.Do(func() { e.verifier = httpsig.NewVerifier(e) })
-	if _, err := e.verifier.Verify(r); err != nil {
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-		return
-	}
-	var push core.InvalidationPush
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&push); err != nil || push.Owner == "" {
-		e.cache.Invalidate()
-		e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-			"cache-invalidated", "all")
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	n := e.cache.InvalidateScope(Scope{
-		Owner:     push.Owner,
-		Realms:    push.Realms,
-		Resources: push.Resources,
-	})
-	e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-		"cache-invalidated", fmt.Sprintf("owner=%s realms=%d resources=%d evicted=%d",
-			push.Owner, len(push.Realms), len(push.Resources), n))
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // PairingFor returns the owner's default pairing.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"umac/internal/amclient"
 	"umac/internal/core"
 )
 
@@ -17,7 +18,8 @@ import (
 // plane: consent resolution arrives over GET /v1/events/consent with no
 // polling loop — only the single post-subscribe status check that closes
 // the resolved-before-subscribe race — a resync marker triggers exactly
-// one extra status check, and Close unblocks a parked consent wait
+// one extra status check, an unresolved ticket times out, a rejected
+// stream is an error, and Close unblocks a parked consent wait
 // immediately.
 
 // sseAM is a fake AM whose consent channel is the event stream.
@@ -188,29 +190,40 @@ func TestConsentResolvedBeforeSubscribe(t *testing.T) {
 	}
 }
 
-// TestConsentStreamDisabledPinsPolling: DisableConsentStream never touches
-// the events endpoint.
-func TestConsentStreamDisabledPinsPolling(t *testing.T) {
+// TestConsentStreamTimeout: a ticket the owner never resolves ends the
+// wait with ErrConsentTimeout once ConsentTimeout elapses.
+func TestConsentStreamTimeout(t *testing.T) {
 	am := newSSEAM(t)
-	am.statusResponse = core.ConsentStatus{
-		Ticket: "ticket-1", Resolved: true, Approved: true, Token: "tok-good",
-	}
+	release := make(chan struct{})
+	defer close(release)
 	am.serveStream = func(w http.ResponseWriter, flush func(), ticket string) {
-		t.Error("stream subscribed despite DisableConsentStream")
+		<-release // hold the stream open, delivering nothing
 	}
-	host := newFakeHost(t, am.srv.URL, "tok-good")
-	c := New(Config{
-		ID: "app-1", DisableConsentStream: true,
-		ConsentPollInterval: time.Millisecond, ConsentTimeout: 5 * time.Second,
-	})
-	if _, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead); err != nil {
-		t.Fatal(err)
+	host := newFakeHost(t, am.srv.URL, "never")
+	c := New(Config{ID: "app-1", ConsentTimeout: 50 * time.Millisecond})
+	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
+	if !errors.Is(err, ErrConsentTimeout) {
+		t.Fatalf("err = %v, want ErrConsentTimeout", err)
 	}
-	if am.streamCalls.Load() != 0 {
-		t.Fatalf("stream subscriptions = %d, want 0", am.streamCalls.Load())
+}
+
+// TestConsentStreamRejectedIsError: an AM that refuses the consent
+// subscription fails the wait at once with the stream error — there is no
+// polling fallback, and no waiting out ConsentTimeout.
+func TestConsentStreamRejectedIsError(t *testing.T) {
+	am := newFakeAM(t) // serves POST /v1/token only: the stream route is a 404
+	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
+		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
 	}
-	if am.statusCalls.Load() == 0 {
-		t.Fatal("polling path never polled")
+	host := newFakeHost(t, am.srv.URL, "never")
+	c := New(Config{ID: "app-1", ConsentTimeout: time.Minute})
+	start := time.Now()
+	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
+	if !errors.Is(err, amclient.ErrStreamFailed) {
+		t.Fatalf("err = %v, want ErrStreamFailed", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("rejected stream took %v to surface", elapsed)
 	}
 }
 

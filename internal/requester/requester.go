@@ -7,7 +7,8 @@
 // The Client wraps an http.Client with the token choreography of Figs. 5
 // and 6: a tokenless access is answered by the Host with a referral to the
 // owner's AM; the Client obtains a token there (supplying claims for terms,
-// or polling for real-time consent) and retries with the token attached.
+// or waiting on the AM's consent stream for real-time consent) and retries
+// with the token attached.
 // Tokens are cached per (host origin, realm), so "a Requester may need to
 // obtain it only once and can use it for multiple subsequent access
 // requests".
@@ -37,7 +38,7 @@ var (
 	// ErrConsentDenied: the owner resolved the consent request negatively.
 	ErrConsentDenied = errors.New("requester: owner denied consent")
 	// ErrConsentTimeout: the owner did not resolve consent in time.
-	ErrConsentTimeout = errors.New("requester: consent poll timed out")
+	ErrConsentTimeout = errors.New("requester: consent wait timed out")
 )
 
 // TermsError reports terms the Requester must satisfy with claims.
@@ -62,35 +63,23 @@ type Config struct {
 	Claims map[string]string
 	// HTTPClient performs all calls; nil means http.DefaultClient.
 	HTTPClient *http.Client
-	// ConsentPollInterval is how often to poll a pending consent ticket
-	// (default 25ms — in-process AMs resolve quickly; real deployments
-	// would use seconds).
-	ConsentPollInterval time.Duration
 	// ConsentTimeout bounds the total consent wait (default 5s).
 	ConsentTimeout time.Duration
-	// DisableConsentStream pins consent waits to the polling path instead
-	// of subscribing to the AM's /v1/events/consent stream. The stream is
-	// the default (resolution arrives the moment the owner acts); polling
-	// remains as the automatic fallback when the stream fails, and as the
-	// measured baseline in benchmarks.
-	DisableConsentStream bool
 	// Tracer records protocol events.
 	Tracer *core.Tracer
 }
 
 // Client is a protocol-aware HTTP client for Requesters.
 type Client struct {
-	id           core.RequesterID
-	subject      core.UserID
-	claims       map[string]string
-	http         *http.Client
-	pollInterval time.Duration
-	pollTimeout  time.Duration
-	noStream     bool
-	tracer       *core.Tracer
+	id             core.RequesterID
+	subject        core.UserID
+	claims         map[string]string
+	http           *http.Client
+	consentTimeout time.Duration
+	tracer         *core.Tracer
 
-	// ctx parents every consent wait (stream read or poll sleep); Close
-	// cancels it so shutdown never waits out a parked connection.
+	// ctx parents every consent wait; Close cancels it so shutdown never
+	// waits out a parked stream read.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -105,10 +94,6 @@ func New(cfg Config) *Client {
 	if h == nil {
 		h = http.DefaultClient
 	}
-	poll := cfg.ConsentPollInterval
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
 	timeout := cfg.ConsentTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -118,24 +103,22 @@ func New(cfg Config) *Client {
 		claims[k] = v
 	}
 	c := &Client{
-		id:           cfg.ID,
-		subject:      cfg.Subject,
-		claims:       claims,
-		http:         h,
-		pollInterval: poll,
-		pollTimeout:  timeout,
-		noStream:     cfg.DisableConsentStream,
-		tracer:       cfg.Tracer,
-		tokens:       make(map[string]string),
-		last:         make(map[string]string),
+		id:             cfg.ID,
+		subject:        cfg.Subject,
+		claims:         claims,
+		http:           h,
+		consentTimeout: timeout,
+		tracer:         cfg.Tracer,
+		tokens:         make(map[string]string),
+		last:           make(map[string]string),
 	}
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	return c
 }
 
-// Close cancels any in-flight consent wait — a parked stream read or a
-// poll sleep unblocks immediately — and makes future consent waits fail
-// fast. Cached tokens keep working; only waiting stops.
+// Close cancels any in-flight consent wait — a parked stream read
+// unblocks immediately — and makes future consent waits fail fast. Cached
+// tokens keep working; only waiting stops.
 func (c *Client) Close() error {
 	c.cancel()
 	return nil
@@ -308,7 +291,7 @@ func (c *Client) ObtainToken(amURL string, host core.HostID, realm core.RealmID,
 		"token-request", fmt.Sprintf("%s/%s %s", host, realm, action))
 	tr, err := c.am(amURL).RequestToken(req)
 	switch {
-	case isDenied(err):
+	case errors.Is(err, core.ErrAccessDenied):
 		return "", fmt.Errorf("%w: AM refused token", ErrDenied)
 	case err != nil:
 		return "", fmt.Errorf("requester: token request: %w", err)
@@ -333,97 +316,69 @@ func (c *Client) am(amURL string) *amclient.Client {
 	return amclient.New(amclient.Config{BaseURL: amURL, HTTPClient: c.http})
 }
 
-// isDenied classifies a token-endpoint error as a policy deny: the
-// structured access_denied code (which unwraps to the sentinel), or —
-// from a pre-v1 AM with no machine-readable code — a bare 403.
-func isDenied(err error) bool {
-	if errors.Is(err, core.ErrAccessDenied) {
-		return true
-	}
-	var ae *core.APIError
-	return errors.As(err, &ae) && ae.Code == core.CodeUnknown && ae.Status == http.StatusForbidden
-}
-
 // waitConsent waits for the owner to resolve the consent ticket — the
-// asynchronous Requester↔AM interaction of Section V.D. The default path
-// subscribes to the AM's consent event stream (GET /v1/events/consent):
-// resolution arrives the instant the owner acts, with the minted token in
-// the event payload. Persistent stream failure falls back to the polling
-// path automatically; DisableConsentStream pins it there. Either way the
-// wait is bounded by ConsentTimeout and cancelled by Close.
+// asynchronous Requester↔AM interaction of Section V.D — over the AM's
+// consent event stream (GET /v1/events/consent): resolution arrives the
+// instant the owner acts, with the minted token in the event payload. Two
+// status checks back the stream up: one right after the subscription
+// registers, and one on every resync marker. A stream that cannot be
+// established is an error. The wait is bounded by ConsentTimeout and
+// cancelled by Close.
 func (c *Client) waitConsent(amURL, ticket string) (string, error) {
-	ctx, cancel := context.WithTimeout(c.ctx, c.pollTimeout)
+	ctx, cancel := context.WithTimeout(c.ctx, c.consentTimeout)
 	defer cancel()
-	if c.noStream {
-		return c.pollConsent(ctx, amURL, ticket)
-	}
 	c.trace(core.PhaseObtainingToken, "requester:"+string(c.id), "am",
 		"consent-stream-start", ticket)
-	stream := c.am(amURL).Stream(amclient.StreamConfig{
+	am := c.am(amURL)
+	stream := am.Stream(amclient.StreamConfig{
 		Path:  "/events/consent",
 		Query: url.Values{core.ParamTicket: {ticket}},
 	})
 	defer stream.Close()
 	if err := stream.Connect(ctx); err != nil {
-		if errors.Is(err, amclient.ErrStreamFailed) {
-			c.trace(core.PhaseObtainingToken, "requester:"+string(c.id), "am",
-				"consent-stream-fallback", err.Error())
-			return c.pollConsent(ctx, amURL, ticket)
-		}
 		return "", c.consentWaitErr(ctx, err)
 	}
 	// The owner may have resolved the ticket between RequestToken handing
 	// it out and the subscription registering just now — an event published
 	// in that window had no subscriber and will never replay. One status
 	// check closes the race; everything after it arrives via the stream.
-	if st, err := c.am(amURL).TokenStatus(ticket); err == nil && st.Resolved {
-		if !st.Approved {
-			return "", ErrConsentDenied
-		}
-		c.trace(core.PhaseObtainingToken, "am", "requester:"+string(c.id),
-			"consent-approved", ticket)
-		return st.Token, nil
+	if st, err := am.TokenStatus(ticket); err == nil && st.Resolved {
+		return c.consentOutcome(ticket, st)
 	}
 	for {
 		ev, err := stream.Next(ctx)
-		switch {
-		case err == nil:
-		case errors.Is(err, amclient.ErrStreamFailed):
-			// The stream cannot be established (old AM, proxy trouble):
-			// degrade to the polling interaction for the remaining budget.
-			c.trace(core.PhaseObtainingToken, "requester:"+string(c.id), "am",
-				"consent-stream-fallback", err.Error())
-			return c.pollConsent(ctx, amURL, ticket)
-		default:
+		if err != nil {
 			return "", c.consentWaitErr(ctx, err)
 		}
 		switch ev.Type {
 		case core.EventConsent:
 			if st := ev.Consent; st != nil && st.Resolved {
-				if !st.Approved {
-					return "", ErrConsentDenied
-				}
-				c.trace(core.PhaseObtainingToken, "am", "requester:"+string(c.id),
-					"consent-approved", ticket)
-				return st.Token, nil
+				return c.consentOutcome(ticket, *st)
 			}
 		case core.EventResync:
-			// The resolution may be among the lost events: check the poll
+			// The resolution may be among the lost events: check the status
 			// endpoint once, then keep streaming for a live resolution.
-			st, err := c.am(amURL).TokenStatus(ticket)
-			if err == nil && st.Resolved {
-				if !st.Approved {
-					return "", ErrConsentDenied
-				}
-				return st.Token, nil
+			if st, err := am.TokenStatus(ticket); err == nil && st.Resolved {
+				return c.consentOutcome(ticket, st)
 			}
 		}
 	}
 }
 
-// consentWaitErr classifies a consent-wait context failure: the overall
-// deadline means the owner never acted (ErrConsentTimeout); cancellation
-// means Close was called.
+// consentOutcome maps a resolved ticket to the token or ErrConsentDenied.
+func (c *Client) consentOutcome(ticket string, st core.ConsentStatus) (string, error) {
+	if !st.Approved {
+		return "", ErrConsentDenied
+	}
+	c.trace(core.PhaseObtainingToken, "am", "requester:"+string(c.id),
+		"consent-approved", ticket)
+	return st.Token, nil
+}
+
+// consentWaitErr classifies a consent-wait failure: the overall deadline
+// means the owner never acted (ErrConsentTimeout); cancellation means
+// Close was called; anything else (the stream was rejected or stayed
+// unreachable) is returned wrapped.
 func (c *Client) consentWaitErr(ctx context.Context, err error) error {
 	if c.ctx.Err() != nil {
 		return fmt.Errorf("requester: client closed: %w", c.ctx.Err())
@@ -432,33 +387,4 @@ func (c *Client) consentWaitErr(ctx context.Context, err error) error {
 		return ErrConsentTimeout
 	}
 	return fmt.Errorf("requester: consent wait: %w", err)
-}
-
-// pollConsent is the polling interaction: ask the ticket-status endpoint
-// on an interval until resolution, deadline, or Close.
-func (c *Client) pollConsent(ctx context.Context, amURL, ticket string) (string, error) {
-	c.trace(core.PhaseObtainingToken, "requester:"+string(c.id), "am",
-		"consent-poll-start", ticket)
-	am := c.am(amURL)
-	for {
-		st, err := am.TokenStatus(ticket)
-		if err != nil {
-			return "", fmt.Errorf("requester: consent poll: %w", err)
-		}
-		if st.Resolved {
-			if !st.Approved {
-				return "", ErrConsentDenied
-			}
-			c.trace(core.PhaseObtainingToken, "am", "requester:"+string(c.id),
-				"consent-approved", ticket)
-			return st.Token, nil
-		}
-		t := time.NewTimer(c.pollInterval)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return "", c.consentWaitErr(ctx, ctx.Err())
-		case <-t.C:
-		}
-	}
 }

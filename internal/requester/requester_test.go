@@ -7,21 +7,19 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"umac/internal/core"
 	"umac/internal/pep"
+	"umac/internal/webutil"
 )
 
 // fakeAM is a scriptable token endpoint.
 type fakeAM struct {
 	srv *httptest.Server
-	// respond builds the token response for a request.
-	respond func(req core.TokenRequest) (int, core.TokenResponse)
-	// consent state for /token/status.
-	statusResponses []core.ConsentStatus
-	statusCalls     atomic.Int32
-	tokenCalls      atomic.Int32
+	// respond builds the token response for a request; a 403 is served as
+	// the AM's structured access_denied envelope.
+	respond    func(req core.TokenRequest) (int, core.TokenResponse)
+	tokenCalls atomic.Int32
 }
 
 func newFakeAM(t *testing.T) *fakeAM {
@@ -33,16 +31,13 @@ func newFakeAM(t *testing.T) *fakeAM {
 		var req core.TokenRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		status, resp := f.respond(req)
+		if status == http.StatusForbidden {
+			webutil.WriteAPIError(w, r, core.NewAPIError(core.CodeAccessDenied, "am: access denied"))
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		json.NewEncoder(w).Encode(resp)
-	})
-	mux.HandleFunc("GET /v1/token/status", func(w http.ResponseWriter, r *http.Request) {
-		n := int(f.statusCalls.Add(1)) - 1
-		if n >= len(f.statusResponses) {
-			n = len(f.statusResponses) - 1
-		}
-		json.NewEncoder(w).Encode(f.statusResponses[n])
 	})
 	f.srv = httptest.NewServer(mux)
 	t.Cleanup(f.srv.Close)
@@ -175,63 +170,6 @@ func TestClaimsSentWithTokenRequest(t *testing.T) {
 	}
 	if got["payment"] != "r-1" || got["tier"] != "gold" {
 		t.Fatalf("claims = %v", got)
-	}
-}
-
-func TestConsentPollingApproved(t *testing.T) {
-	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
-	}
-	am.statusResponses = []core.ConsentStatus{
-		{Ticket: "ticket-1"},
-		{Ticket: "ticket-1"},
-		{Ticket: "ticket-1", Resolved: true, Approved: true, Token: "tok-good"},
-	}
-	host := newFakeHost(t, am.srv.URL, "tok-good")
-	c := New(Config{
-		ID: "app-1", Subject: "evelyn",
-		ConsentPollInterval: time.Millisecond, ConsentTimeout: time.Second,
-	})
-	body, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "protected content" {
-		t.Fatalf("body = %q", body)
-	}
-	if am.statusCalls.Load() != 3 {
-		t.Fatalf("status polls = %d", am.statusCalls.Load())
-	}
-}
-
-func TestConsentPollingDenied(t *testing.T) {
-	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
-	}
-	am.statusResponses = []core.ConsentStatus{
-		{Ticket: "ticket-1", Resolved: true, Approved: false},
-	}
-	host := newFakeHost(t, am.srv.URL, "never")
-	c := New(Config{ID: "app-1", ConsentPollInterval: time.Millisecond, ConsentTimeout: time.Second})
-	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
-	if !errors.Is(err, ErrConsentDenied) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestConsentPollingTimeout(t *testing.T) {
-	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
-	}
-	am.statusResponses = []core.ConsentStatus{{Ticket: "ticket-1"}} // never resolves
-	host := newFakeHost(t, am.srv.URL, "never")
-	c := New(Config{ID: "app-1", ConsentPollInterval: time.Millisecond, ConsentTimeout: 20 * time.Millisecond})
-	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
-	if !errors.Is(err, ErrConsentTimeout) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

@@ -211,7 +211,6 @@ func TestBatchDecisionWithoutToken(t *testing.T) {
 func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	w := NewWorldConfig(am.Config{DefaultCacheTTL: time.Hour})
 	t.Cleanup(w.Close)
-	w.AM.EnableInvalidationPush(nil)
 	h := w.AddHost("webpics")
 	h.AddResource("bob", "travel", "photo-1", []byte("x"))
 	h.AddResource("bob", "work", "doc-1", []byte("x"))
@@ -249,6 +248,9 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	if err := w.AM.LinkGeneral("bob", "work", workPol.ID); err != nil {
 		t.Fatal(err)
 	}
+	if err := h.Enforcer.StartInvalidationStream("bob"); err != nil {
+		t.Fatal(err)
+	}
 
 	// Separate clients per realm so each keeps presenting its own realm's
 	// token (a shared client's token juggling would add referral
@@ -265,18 +267,21 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 		t.Fatalf("cache len = %d, want 2", n)
 	}
 
-	// Bob flips the travel policy to deny; the scoped push must evict the
+	// Bob flips the travel policy to deny; the scoped event must evict the
 	// travel entry and leave the work entry alone.
 	travelPol.Rules = []policy.Rule{{
 		Effect:   policy.EffectDeny,
 		Subjects: []policy.Subject{{Type: policy.SubjectEveryone}},
 	}}
+	gen := h.Enforcer.Cache().Gen()
 	if err := w.AM.UpdatePolicy("bob", travelPol); err != nil {
 		t.Fatal(err)
 	}
-	w.AM.FlushInvalidations()
+	if err := AwaitInvalidation(h.Enforcer.Cache(), gen); err != nil {
+		t.Fatal(err)
+	}
 	if n := h.Enforcer.Cache().Len(); n != 1 {
-		t.Fatalf("cache len after scoped push = %d, want 1 (work entry only)", n)
+		t.Fatalf("cache len after scoped event = %d, want 1 (work entry only)", n)
 	}
 
 	// No stale PERMIT: the next travel access is denied immediately.
@@ -297,36 +302,25 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	}
 }
 
-// TestChurnWorkloadScopedBeatsDropAll runs the E14 workload both ways and
-// asserts the scoped mode suppresses the invalidation stampede entirely on
-// this mix (hot realm untouched by the churn).
+// TestChurnWorkloadScopedBeatsDropAll runs the E14 workload and asserts
+// scoped invalidation suppresses the stampede entirely on this mix: the
+// churned realm is not the hot realm, so the hot cache survives every
+// event and no decision re-queries happen at all — where dropping the
+// whole cache would force a full re-query round per churn.
 func TestChurnWorkloadScopedBeatsDropAll(t *testing.T) {
 	cfg := ChurnConfig{HotResources: 8, Rounds: 6, ChurnEvery: 2}
-
-	cfg.Scoped = false
-	dropAll, err := RunChurnWorkload(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Scoped = true
 	scoped, err := RunChurnWorkload(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropAll.Denied != 0 || scoped.Denied != 0 {
-		t.Fatalf("hot accesses denied: drop-all=%d scoped=%d", dropAll.Denied, scoped.Denied)
+	if scoped.Denied != 0 {
+		t.Fatalf("hot accesses denied: %d", scoped.Denied)
 	}
-	// Drop-all: every churn wipes the hot entries, so each of the 3 churns
-	// forces a full re-query round (8 queries each).
-	if dropAll.AMRoundTrips < int64(cfg.HotResources) {
-		t.Fatalf("drop-all round-trips = %d, expected a stampede (>= %d)",
-			dropAll.AMRoundTrips, cfg.HotResources)
+	if scoped.PolicyChanges != 3 {
+		t.Fatalf("policy changes = %d, want 3", scoped.PolicyChanges)
 	}
-	// Scoped: the churned realm is not the hot realm, so the hot cache
-	// survives every push and no decision re-queries happen at all.
 	if scoped.AMRoundTrips != 0 {
 		t.Fatalf("scoped round-trips = %d, want 0 (hot cache must survive churn)", scoped.AMRoundTrips)
 	}
-	t.Logf("drop-all: %+v", dropAll)
-	t.Logf("scoped:   %+v", scoped)
+	t.Logf("scoped: %+v", scoped)
 }

@@ -15,10 +15,10 @@ import (
 // This file is the policy-churn + hot-resource workload behind the scoped
 // cache-invalidation experiments (E14): a Requester hammers a hot set of
 // cached resources while the owner keeps editing an unrelated realm's
-// policy. Every edit triggers an AM→Host invalidation push; with scoped
-// invalidation only the edited realm's entries fall out of the Host cache,
-// with drop-all every hot entry is evicted and the next access round
-// stampedes the AM with decision re-queries.
+// policy. Every edit reaches the Host as a scoped event on its
+// invalidation stream; only the edited realm's entries fall out of the
+// Host cache, so the hot set keeps answering locally and the AM sees no
+// decision re-queries.
 
 // ChurnConfig sizes the workload.
 type ChurnConfig struct {
@@ -29,9 +29,6 @@ type ChurnConfig struct {
 	// ChurnEvery inserts a policy change on the unrelated realm every N
 	// rounds (0 = never).
 	ChurnEvery int
-	// Scoped selects scoped invalidation at the Host cache; false restores
-	// the historical drop-all behaviour (the baseline).
-	Scoped bool
 	// Batch resolves each round's misses through the batched decision
 	// endpoint instead of per-pair queries.
 	Batch bool
@@ -60,9 +57,7 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 	// not expiry.
 	w := NewWorldConfig(am.Config{DefaultCacheTTL: time.Hour})
 	defer w.Close()
-	w.AM.EnableInvalidationPush(nil)
 	h := w.AddHost("webpics")
-	h.Enforcer.Cache().SetScopedInvalidation(cfg.Scoped)
 
 	hot := make([]core.ResourceID, cfg.HotResources)
 	pairs := make([]pep.ResourceAction, cfg.HotResources)
@@ -154,10 +149,11 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 		return nil
 	}
 
-	// Quiesce the setup's own invalidation pushes (the policy links above
-	// each push) before warming: a push racing the warmup fill would drop
-	// the filled entries via the generation guard.
-	w.AM.FlushInvalidations()
+	// Subscribe only now, after the setup mutations: their events would
+	// otherwise race the warmup fill and drop it via the generation guard.
+	if err := h.Enforcer.StartInvalidationStream("bob"); err != nil {
+		return result, err
+	}
 	// Warm the cache, then exclude warmup traffic from the counters.
 	if err := accessRound(); err != nil {
 		return result, err
@@ -171,10 +167,13 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 		if cfg.ChurnEvery > 0 && round%cfg.ChurnEvery == 0 {
 			churn++
 			coldPol.Name = fmt.Sprintf("cold-policy-%d", churn)
+			gen := h.Enforcer.Cache().Gen()
 			if err := w.AM.UpdatePolicy("bob", coldPol); err != nil {
 				return result, err
 			}
-			w.AM.FlushInvalidations()
+			if err := AwaitInvalidation(h.Enforcer.Cache(), gen); err != nil {
+				return result, err
+			}
 			result.PolicyChanges++
 		}
 		if err := accessRound(); err != nil {
@@ -186,6 +185,20 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 	result.CacheHits = hits1 - hits0
 	result.CacheMisses = misses1 - misses0
 	return result, nil
+}
+
+// AwaitInvalidation waits until the cache has applied an invalidation
+// since its generation read gen — every event the invalidation stream
+// applies advances it — and fails after five seconds.
+func AwaitInvalidation(c *pep.DecisionCache, gen uint64) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Gen() == gen {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: no invalidation applied within 5s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // TokenRequestFor builds an http.Request presenting tok as the UMAC

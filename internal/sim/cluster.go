@@ -233,6 +233,15 @@ func RunClusterWorkload(ctx context.Context, dir string, writes int) (ClusterRep
 		Replication: am.ReplicationConfig{Role: am.RolePrimary, Secret: clusterSecret},
 		Cluster:     am.ClusterConfig{Shard: "shard-a", Ring: ring},
 	})
+	bPrimary := am.New(am.Config{
+		Name: "am-b", Store: bStore, TokenKey: clusterTokenKey, BaseURL: bPrimarySrv.URL,
+		Replication: am.ReplicationConfig{Role: am.RolePrimary, Secret: clusterSecret},
+		Cluster:     am.ClusterConfig{Shard: "shard-b", Ring: ring},
+	})
+	aPrimarySrv.Config.Handler = aPrimary.Handler()
+	bPrimarySrv.Config.Handler = bPrimary.Handler()
+	// The follower's sync loop dials the primary from inside am.New, so it
+	// is built only once the primary's handler is in place.
 	aFollower := am.New(am.Config{
 		Name: "am-a-f", TokenKey: clusterTokenKey, BaseURL: aFollowerSrv.URL,
 		Replication: am.ReplicationConfig{
@@ -241,14 +250,7 @@ func RunClusterWorkload(ctx context.Context, dir string, writes int) (ClusterRep
 		},
 		Cluster: am.ClusterConfig{Shard: "shard-a", Ring: ring},
 	})
-	bPrimary := am.New(am.Config{
-		Name: "am-b", Store: bStore, TokenKey: clusterTokenKey, BaseURL: bPrimarySrv.URL,
-		Replication: am.ReplicationConfig{Role: am.RolePrimary, Secret: clusterSecret},
-		Cluster:     am.ClusterConfig{Shard: "shard-b", Ring: ring},
-	})
-	aPrimarySrv.Config.Handler = aPrimary.Handler()
 	aFollowerSrv.Config.Handler = aFollower.Handler()
-	bPrimarySrv.Config.Handler = bPrimary.Handler()
 	// Shard-a's primary is hard-killed mid-run on the happy path; the
 	// guard keeps early error returns from leaking its server, AM loops
 	// and open WAL handle.

@@ -12,13 +12,15 @@ import (
 )
 
 // TestInvalidationPushRevokesImmediately verifies the cache-control
-// extension: with invalidation push enabled, a policy change at the AM
-// takes effect at the Host at once, even though the cached decision's TTL
-// has not expired.
+// extension: with the Host subscribed to the owner's invalidation stream,
+// a policy change at the AM takes effect at the Host at once, even though
+// the cached decision's TTL has not expired.
 func TestInvalidationPushRevokesImmediately(t *testing.T) {
-	// Long cache TTL: without the push, the stale permit would survive.
+	// Long cache TTL: without the stream, the stale permit would survive.
 	w, h := setupWorldCfg(t, am.Config{DefaultCacheTTL: time.Hour})
-	w.AM.EnableInvalidationPush(nil)
+	if err := h.Enforcer.StartInvalidationStream("bob"); err != nil {
+		t.Fatal(err)
+	}
 
 	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
@@ -28,19 +30,23 @@ func TestInvalidationPushRevokesImmediately(t *testing.T) {
 		t.Fatal("decision not cached")
 	}
 
-	// Bob flips the policy to deny-everyone; the AM pushes invalidation.
+	// Bob flips the policy to deny-everyone; the AM publishes the
+	// invalidation on the stream.
 	policies := w.AM.ListPolicies("bob")
 	pol := policies[0]
 	pol.Rules = []policy.Rule{{
 		Effect:   policy.EffectDeny,
 		Subjects: []policy.Subject{{Type: policy.SubjectEveryone}},
 	}}
+	gen := h.Enforcer.Cache().Gen()
 	if err := w.AM.UpdatePolicy("bob", pol); err != nil {
 		t.Fatal(err)
 	}
-	w.AM.FlushInvalidations()
+	if err := AwaitInvalidation(h.Enforcer.Cache(), gen); err != nil {
+		t.Fatal(err)
+	}
 	if h.Enforcer.Cache().Len() != 0 {
-		t.Fatal("host cache not invalidated by push")
+		t.Fatal("host cache not invalidated by the stream event")
 	}
 
 	// The very next access is denied — no TTL wait.
@@ -59,7 +65,6 @@ func TestInvalidationPushRevokesImmediately(t *testing.T) {
 func TestInvalidationPushOnGroupChange(t *testing.T) {
 	w := NewWorldConfig(am.Config{DefaultCacheTTL: time.Hour})
 	t.Cleanup(w.Close)
-	w.AM.EnableInvalidationPush(nil)
 	h := w.AddHost("webpics")
 	h.AddResource("bob", "travel", "photo-1", []byte("pic"))
 	bob := NewUserAgent("bob")
@@ -83,48 +88,28 @@ func TestInvalidationPushOnGroupChange(t *testing.T) {
 	if err := w.AM.AddGroupMember("bob", "bob", "friends", "alice"); err != nil {
 		t.Fatal(err)
 	}
+	if err := h.Enforcer.StartInvalidationStream("bob"); err != nil {
+		t.Fatal(err)
+	}
 	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}
-	// Bob removes alice from friends; the push clears the cached permit.
+	// Bob removes alice from friends; the owner-wide event clears the
+	// cached permit.
+	gen := h.Enforcer.Cache().Gen()
 	if err := w.AM.RemoveGroupMember("bob", "bob", "friends", "alice"); err != nil {
 		t.Fatal(err)
 	}
-	w.AM.FlushInvalidations()
+	if err := AwaitInvalidation(h.Enforcer.Cache(), gen); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, err := alice.Get(h.ResourceURL("photo-1"), core.ActionRead)
 	if err == nil {
 		defer resp.Body.Close()
 		if resp.StatusCode == 200 {
-			t.Fatal("alice still permitted after removal + push")
+			t.Fatal("alice still permitted after removal + invalidation")
 		}
-	}
-}
-
-// TestNoPushWithoutOptIn: the base protocol never has the AM spontaneously
-// contact Hosts.
-func TestNoPushWithoutOptIn(t *testing.T) {
-	w, h := setupWorldCfg(t, am.Config{DefaultCacheTTL: time.Hour})
-	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
-	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
-		t.Fatal(err)
-	}
-	policies := w.AM.ListPolicies("bob")
-	pol := policies[0]
-	pol.Rules = []policy.Rule{{
-		Effect:   policy.EffectDeny,
-		Subjects: []policy.Subject{{Type: policy.SubjectEveryone}},
-	}}
-	if err := w.AM.UpdatePolicy("bob", pol); err != nil {
-		t.Fatal(err)
-	}
-	// Cache untouched: the stale permit persists until TTL (documented
-	// trade-off of pure TTL caching).
-	if h.Enforcer.Cache().Len() == 0 {
-		t.Fatal("cache cleared without push enabled")
-	}
-	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
-		t.Fatalf("cached access should still permit within TTL: %v", err)
 	}
 }

@@ -90,7 +90,9 @@ func (w *World) AMRequests() int64 { return w.amRequests.Load() }
 // ResetAMRequests zeroes the AM request counter.
 func (w *World) ResetAMRequests() { w.amRequests.Store(0) }
 
-// Close shuts down every server in the world.
+// Close shuts down every server in the world. Host enforcers close first:
+// an open invalidation stream is an outstanding request that would
+// otherwise hold the AM server's Close.
 func (w *World) Close() {
 	w.mu.Lock()
 	hosts := make([]*SimpleHost, 0, len(w.hosts))
@@ -99,6 +101,7 @@ func (w *World) Close() {
 	}
 	w.mu.Unlock()
 	for _, h := range hosts {
+		h.Enforcer.Close()
 		h.Server.Close()
 	}
 	w.AMServer.Close()
@@ -115,7 +118,10 @@ func (w *World) Host(id core.HostID) *SimpleHost {
 // SimpleHost is a minimal protected Host application: an in-memory resource
 // tree with GET/PUT access guarded by a pep.Enforcer. The prototype apps in
 // internal/apps are full applications; SimpleHost is the protocol-focused
-// fixture for tests and benchmarks.
+// fixture for tests and benchmarks. Unlike the apps, its pairing callback
+// does not subscribe the owner's invalidation stream: a test that wants
+// push freshness calls Enforcer.StartInvalidationStream itself, after its
+// setup mutations, so no setup event can race the cache it measures.
 type SimpleHost struct {
 	ID       core.HostID
 	Enforcer *pep.Enforcer
@@ -139,8 +145,7 @@ func (w *World) AddHost(id core.HostID) *SimpleHost {
 	}
 	h.Enforcer = pep.New(pep.Config{Host: id, Name: string(id), Tracer: w.Tracer})
 	mux := http.NewServeMux()
-	mux.HandleFunc("/umac/pair/callback", h.Enforcer.HandlePairCallback)
-	mux.HandleFunc("POST /umac/invalidate", h.Enforcer.HandleInvalidate)
+	mux.HandleFunc("/umac/pair/callback", h.handlePairCallback)
 	mux.HandleFunc("GET /res/{id...}", h.handleGet)
 	mux.HandleFunc("PUT /res/{id...}", h.handlePut)
 	h.Server = httptest.NewServer(mux)
@@ -168,6 +173,15 @@ func (h *SimpleHost) lookup(id core.ResourceID) (*simResource, bool) {
 	defer h.mu.RUnlock()
 	r, ok := h.resources[id]
 	return r, ok
+}
+
+// handlePairCallback closes the Fig. 3 redirect like
+// pep.Enforcer.HandlePairCallback, minus the stream subscription.
+func (h *SimpleHost) handlePairCallback(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	if _, err := h.Enforcer.CompletePairing(q.Get(core.ParamAM), core.UserID(q.Get(core.ParamUser)), q.Get("code")); err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+	}
 }
 
 func (h *SimpleHost) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -105,7 +105,6 @@ func NewMetrics() *Metrics {
 }
 
 // Instrument wraps h, accounting its requests under the given route label.
-// Aliased paths instrumented with the same call share one counter set.
 func (m *Metrics) Instrument(route string, h http.Handler) http.Handler {
 	rc := &routeCounters{route: route}
 	m.mu.Lock()

@@ -26,8 +26,8 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// ErrorBody is the legacy JSON error envelope (pre-v1 surface and the
-// prototype Hosts).
+// ErrorBody is the plain JSON error body of the prototype Host
+// applications (the AM answers with the structured core.APIError instead).
 type ErrorBody struct {
 	Error string `json:"error"`
 }
@@ -44,14 +44,6 @@ func WriteErrorf(w http.ResponseWriter, status int, format string, args ...any) 
 
 // ProblemContentType is the content type of structured error responses.
 const ProblemContentType = "application/problem+json"
-
-// apiErrorBody is the rendered envelope: the structured fields plus the
-// legacy "error" member, so pre-v1 clients that decode ErrorBody keep
-// reading a message.
-type apiErrorBody struct {
-	*core.APIError
-	LegacyError string `json:"error"`
-}
 
 // SanitizedMessage is the only message a sanitized 5xx body carries; the
 // real cause is logged server-side under the request ID.
@@ -120,7 +112,7 @@ func WriteAPIError(w http.ResponseWriter, r *http.Request, e *core.APIError) {
 	}
 	w.Header().Set("Content-Type", ProblemContentType)
 	w.WriteHeader(e.Status)
-	_ = json.NewEncoder(w).Encode(apiErrorBody{APIError: e, LegacyError: e.Message})
+	_ = json.NewEncoder(w).Encode(e)
 }
 
 // Fail classifies err (core.APIErrorFor) and writes the envelope. Bodies
