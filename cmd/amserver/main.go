@@ -13,6 +13,11 @@
 // snapshot-only behaviour. Browser-facing endpoints authenticate via the
 // X-Umac-User header (front it with a real SSO proxy in production).
 //
+// The audit log lives beside the state file as <state>.audit.NNNNNN
+// segments (in memory without -state). Events reach disk within
+// audit.FlushInterval of being recorded; -audit-retain bounds its size by
+// deleting the oldest sealed segments.
+//
 // Replication (see docs/OPERATIONS.md for the full runbook):
 //
 //	# primary: serves writes and streams its WAL on /v1/replication/*
@@ -62,6 +67,7 @@ import (
 	"time"
 
 	"umac"
+	"umac/internal/audit"
 	"umac/internal/cluster"
 )
 
@@ -77,6 +83,7 @@ func main() {
 		fsync    = flag.Bool("fsync", false, "fsync the WAL on every write (survive machine crashes, not just process kills)")
 		noWAL    = flag.Bool("no-wal", false, "disable the write-ahead log (persist on snapshot only)")
 		walSeg   = flag.Int64("wal-segment-size", 0, "WAL segment roll threshold in bytes (0 = default 4 MiB)")
+		retain   = flag.Int64("audit-retain", audit.DefaultRetain, "audit log byte budget: the oldest sealed segments beyond it are deleted")
 
 		role      = flag.String("role", "", "replication role: \"primary\" or \"follower\" (empty = standalone)")
 		replicaOf = flag.String("replica-of", "", "primary base URL to sync from (follower role)")
@@ -174,6 +181,17 @@ func main() {
 			log.Printf("amserver: replayed %d bytes of write-ahead log", n)
 		}
 	}
+	auditBase := ""
+	if *statef != "" {
+		auditBase = *statef + ".audit"
+	}
+	auditLog, err := audit.Open(auditBase, *retain)
+	if err != nil {
+		log.Fatalf("amserver: open audit log: %v", err)
+	}
+	if n := auditLog.Len(); n > 0 {
+		log.Printf("amserver: audit log holds %d events", n)
+	}
 	base := *baseURL
 	if base == "" {
 		base = "http://localhost" + *addr
@@ -182,6 +200,7 @@ func main() {
 		Name:        *name,
 		BaseURL:     base,
 		Store:       st,
+		Audit:       auditLog,
 		TokenKey:    []byte(key),
 		TokenTTL:    *tokenTTL,
 		Notifier:    &umac.Outbox{},
@@ -246,6 +265,9 @@ func main() {
 	save()
 	if err := authMgr.Close(); err != nil {
 		log.Printf("amserver: close am: %v", err)
+	}
+	if err := auditLog.Close(); err != nil {
+		log.Printf("amserver: close audit log: %v", err)
 	}
 	if err := st.Close(); err != nil {
 		log.Printf("amserver: close store: %v", err)

@@ -100,6 +100,9 @@ type Config struct {
 	BaseURL string
 	// Store persists AM state; nil means a fresh in-memory store.
 	Store *store.Store
+	// Audit is the consolidated audit log; nil means a fresh in-memory
+	// log. Like Store it is the caller's to close, after the AM.
+	Audit *audit.Log
 	// TokenKey is the token-service master key; empty means random.
 	TokenKey []byte
 	// TokenTTL bounds authorization-token lifetime; 0 means the default.
@@ -215,6 +218,10 @@ func New(cfg Config) *AM {
 	if st == nil {
 		st = store.New()
 	}
+	auditLog := cfg.Audit
+	if auditLog == nil {
+		auditLog = &audit.Log{}
+	}
 	auth := cfg.Auth
 	if auth == nil {
 		auth = identity.HeaderAuth{}
@@ -232,7 +239,7 @@ func New(cfg Config) *AM {
 		baseURL:    cfg.BaseURL,
 		store:      st,
 		tokens:     token.NewService(cfg.TokenKey, cfg.TokenTTL),
-		audit:      &audit.Log{},
+		audit:      auditLog,
 		auth:       auth,
 		notifier:   cfg.Notifier,
 		tracer:     cfg.Tracer,
@@ -270,8 +277,8 @@ func New(cfg Config) *AM {
 
 // Close stops the follower replication loop (if any), shuts the event
 // broker down (every /v1/events subscriber drains and disconnects), and
-// flushes the asynchronous audit pipeline. The backing store is the
-// caller's to close (it may be shared).
+// flushes the asynchronous audit pipeline. The backing store and audit log
+// are the caller's to close (they may be shared).
 func (a *AM) Close() error {
 	a.stopReplication()
 	a.broker.Close()
@@ -392,7 +399,7 @@ func (a *AM) ExchangeCode(code string, host core.HostID) (core.PairingResponse, 
 	if _, err := a.store.Put(kindPairing, pairing.ID, pairing); err != nil {
 		return core.PairingResponse{}, fmt.Errorf("am: persist pairing: %w", err)
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventPairingCreated, Owner: pairing.User, Host: pairing.Host,
 		Detail: pairing.ID,
 	})
@@ -451,7 +458,7 @@ func (a *AM) RevokePairing(id string) error {
 	if err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventPairingRevoked, Owner: p.User, Host: p.Host, Detail: id,
 	})
 	return nil
@@ -547,7 +554,7 @@ func (a *AM) RegisterRealm(pairingID string, req core.ProtectRequest) (core.Prot
 			return core.ProtectResponse{}, err
 		}
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventResourceLinked, Owner: owner, Host: p.Host,
 		Realm: req.Realm, Detail: fmt.Sprintf("%d resources", len(req.Resources)),
 	})

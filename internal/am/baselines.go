@@ -55,7 +55,7 @@ func (a *AM) PullDecide(pairingID string, q core.DecisionQuery, subject core.Use
 	if res.Decision == core.DecisionPermit {
 		decision = core.DecisionPermit
 	}
-	a.auditDecision(realm, q, requester, decision, res.Reason+" (pull)")
+	a.auditPipe.Enqueue(decisionEvent(realm, q, requester, decision, res.Reason+" (pull)"))
 	a.trace(core.PhaseObtainingDecision, "am:"+a.name, "host:"+string(q.Host),
 		"pull-decision", decision.String())
 	return core.DecisionResponse{
@@ -92,7 +92,7 @@ func (a *AM) EstablishState(req core.TokenRequest) (string, error) {
 	defer release()
 	res := a.evaluate(req, realm, false)
 	if res.Decision != core.DecisionPermit {
-		a.audit.Append(audit.Event{
+		a.auditPipe.Enqueue(audit.Event{
 			Type: audit.EventTokenRefused, Owner: realm.Owner, Host: req.Host,
 			Realm: req.Realm, Requester: req.Requester, Subject: req.Subject,
 			Action: req.Action, Detail: res.Reason + " (state)",
@@ -135,7 +135,7 @@ func (a *AM) StateDecide(pairingID string, q core.DecisionQuery, handle string) 
 		return core.DecisionResponse{}, err
 	}
 	deny := func(reason string) core.DecisionResponse {
-		a.auditDecision(realm, q, "", core.DecisionDeny, reason)
+		a.auditPipe.Enqueue(decisionEvent(realm, q, "", core.DecisionDeny, reason))
 		return core.DecisionResponse{Decision: core.DecisionDeny.String(), Reason: reason}
 	}
 	var st authState
@@ -158,7 +158,7 @@ func (a *AM) StateDecide(pairingID string, q core.DecisionQuery, handle string) 
 	if res.Decision == core.DecisionPermit {
 		decision = core.DecisionPermit
 	}
-	a.auditDecision(realm, q, st.Requester, decision, res.Reason+" (state)")
+	a.auditPipe.Enqueue(decisionEvent(realm, q, st.Requester, decision, res.Reason+" (state)"))
 	return core.DecisionResponse{
 		Decision:        decision.String(),
 		CacheTTLSeconds: a.cacheTTLSeconds(res),

@@ -144,7 +144,7 @@ func (a *AM) UpdateRing(st core.RingState) (core.ClusterInfo, error) {
 	if err != nil {
 		return core.ClusterInfo{}, err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type:   audit.EventOwnerMigrated,
 		Detail: fmt.Sprintf("ring v%d installed (%d shards, %d draining)", st.Version, len(st.Shards), len(st.Draining)),
 	})
@@ -263,7 +263,7 @@ func (a *AM) SetOwnerShard(owner core.UserID, shard string) error {
 	if err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventOwnerMigrated, Owner: owner, Detail: "owner pinned to shard " + shard,
 	})
 	return nil
@@ -289,7 +289,7 @@ func (a *AM) ClearOwnerShard(owner core.UserID) error {
 	if err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventOwnerMigrated, Owner: owner, Detail: "owner shard override cleared",
 	})
 	return nil

@@ -91,7 +91,7 @@ func (a *AM) openConsent(req core.TokenRequest, realm Realm) (string, error) {
 		createdAt: time.Now(),
 	}
 	a.mu.Unlock()
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventConsentRequest, Owner: realm.Owner, Host: req.Host,
 		Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 		Subject: req.Subject, Action: req.Action, Detail: ticket,
@@ -145,7 +145,7 @@ func (a *AM) ResolveConsent(actor core.UserID, ticket string, approve bool) erro
 	if t.resolved {
 		return fmt.Errorf("am: consent ticket %s already resolved", ticket)
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventConsentResolved, Owner: t.owner, Host: t.req.Host,
 		Realm: t.req.Realm, Resource: t.req.Resource, Requester: t.req.Requester,
 		Detail: fmt.Sprintf("%s approve=%v", ticket, approve),

@@ -285,6 +285,9 @@ func (a *AM) ownerParam(r *http.Request, actor core.UserID) (core.UserID, error)
 // --- Operational handlers ---
 
 func (a *AM) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	auditHealth := a.audit.Health()
+	auditHealth.PipelineDepth = a.auditPipe.Depth()
+	auditHealth.PipelineCap = a.auditPipe.Capacity()
 	webutil.WriteJSON(w, http.StatusOK, core.HealthStatus{
 		Status: "ok",
 		AM:     a.name,
@@ -292,11 +295,7 @@ func (a *AM) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Durable:  a.store.Durable(),
 			WALBytes: a.store.WALSize(),
 		},
-		Audit: core.AuditHealth{
-			Events:        a.audit.Len(),
-			PipelineDepth: a.auditPipe.Depth(),
-			PipelineCap:   a.auditPipe.Capacity(),
-		},
+		Audit:       auditHealth,
 		Replication: a.ReplicationHealth(),
 		Abuse:       a.AbuseHealth(),
 	})

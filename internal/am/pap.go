@@ -113,7 +113,7 @@ func (a *AM) CreatePolicy(actor core.UserID, p policy.Policy) (policy.Policy, er
 	if _, err := a.store.PutIfVersion(kindPolicy, string(p.ID), 0, p); err != nil {
 		return policy.Policy{}, fmt.Errorf("am: policy %s already exists: %w", p.ID, err)
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventPolicyCreated, Owner: p.Owner, Subject: actor, Detail: string(p.ID),
 	})
 	a.trace(core.PhaseComposingPolicies, "user:"+string(actor), "am:"+a.name,
@@ -148,7 +148,7 @@ func (a *AM) UpdatePolicy(actor core.UserID, p policy.Policy) error {
 	if _, err := a.store.Put(kindPolicy, string(p.ID), p); err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventPolicyUpdated, Owner: old.Owner, Subject: actor, Detail: string(p.ID),
 	})
 	realms, resources := a.linksForPolicy(old.Owner, p.ID)
@@ -181,7 +181,7 @@ func (a *AM) DeletePolicy(actor core.UserID, id core.PolicyID) error {
 	if err := a.store.Delete(kindPolicy, string(id)); err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventPolicyDeleted, Owner: old.Owner, Subject: actor, Detail: string(id),
 	})
 	if len(realms)+len(resources) > 0 {
@@ -279,7 +279,7 @@ func (a *AM) ImportPolicies(actor core.UserID, owner core.UserID, r io.Reader, f
 		if _, err := a.store.Put(kindPolicy, string(policies[i].ID), policies[i]); err != nil {
 			return i, err
 		}
-		a.audit.Append(audit.Event{
+		a.auditPipe.Enqueue(audit.Event{
 			Type: audit.EventPolicyCreated, Owner: owner, Subject: actor,
 			Detail: string(policies[i].ID) + " (import)",
 		})
@@ -325,7 +325,7 @@ func (a *AM) linkGeneralGated(owner core.UserID, realm core.RealmID, pid core.Po
 	if _, err := a.store.Put(kindLinkGen, linkGenKey(owner, realm), linkRecord{Policy: pid}); err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventResourceLinked, Owner: owner, Realm: realm,
 		Detail: "general policy " + string(pid),
 	})
@@ -355,7 +355,7 @@ func (a *AM) LinkSpecific(owner core.UserID, host core.HostID, res core.Resource
 	if _, err := a.store.Put(kindLinkSpec, linkSpecKey(owner, host, res), linkRecord{Policy: pid}); err != nil {
 		return err
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventResourceLinked, Owner: owner, Host: host, Resource: res,
 		Detail: "specific policy " + string(pid),
 	})

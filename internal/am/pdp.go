@@ -48,7 +48,7 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 			"consent-pending", ticket)
 		return core.TokenResponse{PendingConsent: ticket}, nil
 	case len(res.RequiredTerms) > 0:
-		a.audit.Append(audit.Event{
+		a.auditPipe.Enqueue(audit.Event{
 			Type: audit.EventTokenRefused, Owner: realm.Owner, Host: req.Host,
 			Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 			Subject: req.Subject, Action: req.Action,
@@ -58,7 +58,7 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 			"terms-required", fmt.Sprintf("%v", res.RequiredTerms))
 		return core.TokenResponse{RequiredTerms: dedupe(res.RequiredTerms)}, nil
 	default:
-		a.audit.Append(audit.Event{
+		a.auditPipe.Enqueue(audit.Event{
 			Type: audit.EventTokenRefused, Owner: realm.Owner, Host: req.Host,
 			Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 			Subject: req.Subject, Action: req.Action, Detail: res.Reason,
@@ -87,7 +87,7 @@ func (a *AM) grantToken(req core.TokenRequest, realm Realm, res policy.Result) (
 	if _, err := a.store.Put(kindGrant, claims.ID, grant); err != nil {
 		return core.TokenResponse{}, fmt.Errorf("am: persist grant: %w", err)
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventTokenIssued, Owner: realm.Owner, Host: req.Host,
 		Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 		Subject: req.Subject, Action: req.Action, Detail: claims.ID,
@@ -115,7 +115,7 @@ func (a *AM) grantTokenWithConsent(req core.TokenRequest, realm Realm) (core.Tok
 	if _, err := a.store.Put(kindGrant, claims.ID, grant); err != nil {
 		return core.TokenResponse{}, fmt.Errorf("am: persist grant: %w", err)
 	}
-	a.audit.Append(audit.Event{
+	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventTokenIssued, Owner: realm.Owner, Host: req.Host,
 		Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 		Subject: req.Subject, Action: req.Action, Detail: claims.ID + " (consented)",
@@ -213,14 +213,19 @@ func (a *AM) Decide(pairingID string, q core.DecisionQuery) (core.DecisionRespon
 		return core.DecisionResponse{}, fmt.Errorf("am: pairing %s belongs to host %q, query claims %q",
 			pairingID, pairing.Host, q.Host)
 	}
-	return a.decideItem(newDecideCtx(), q)
+	dec, ev, err := a.decideItem(newDecideCtx(), q)
+	if err == nil {
+		a.auditPipe.Enqueue(ev)
+	}
+	return dec, err
 }
 
 // DecideBatch answers a batched decision query — N Fig. 6 queries in one
 // signed round-trip. The pairing is authenticated once; realm lookups,
-// token validations and grant fetches are memoized across items. Item-level
-// failures (unknown realm, storage errors) deny that item with Error set
-// instead of failing the batch, so one bad item cannot veto a page load.
+// token validations and grant fetches are memoized across items, and the
+// items' audit events go to the pipeline in one send. Item-level failures
+// (unknown realm, storage errors) deny that item with Error set instead of
+// failing the batch, so one bad item cannot veto a page load.
 func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.BatchDecisionResponse, error) {
 	if len(q.Items) == 0 {
 		return core.BatchDecisionResponse{}, fmt.Errorf("am: batch decision query carries no items")
@@ -241,12 +246,13 @@ func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.Batc
 	}
 	ctx := newDecideCtx()
 	resp := core.BatchDecisionResponse{Results: make([]core.BatchDecisionResult, len(q.Items))}
+	events := make([]audit.Event, 0, len(q.Items))
 	for i, item := range q.Items {
 		tok := item.Token
 		if tok == "" {
 			tok = q.Token
 		}
-		dec, err := a.decideItem(ctx, core.DecisionQuery{
+		dec, ev, err := a.decideItem(ctx, core.DecisionQuery{
 			PairingID: pairingID,
 			Host:      q.Host,
 			Realm:     item.Realm,
@@ -260,6 +266,7 @@ func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.Batc
 			// an item-level string would hide it from the chase logic.
 			var ae *core.APIError
 			if errors.As(err, &ae) && ae.Code == core.CodeWrongShard {
+				a.auditPipe.EnqueueBatch(events)
 				return core.BatchDecisionResponse{}, err
 			}
 			resp.Results[i] = core.BatchDecisionResult{
@@ -269,44 +276,46 @@ func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.Batc
 			continue
 		}
 		resp.Results[i] = core.BatchDecisionResult{DecisionResponse: dec}
+		events = append(events, ev)
 	}
+	a.auditPipe.EnqueueBatch(events)
 	return resp, nil
 }
 
 // decideItem evaluates one decision query for an already-authenticated
-// pairing. ctx carries the batch-level memoization; single queries pass a
-// fresh one.
-func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResponse, error) {
+// pairing and returns the decision's audit event for the caller to
+// enqueue (an error carries none). ctx carries the batch-level
+// memoization; single queries pass a fresh one.
+func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResponse, audit.Event, error) {
 	realm, err := a.realmCached(ctx, q.Host, q.Realm)
 	if err != nil {
-		return core.DecisionResponse{}, err
+		return core.DecisionResponse{}, audit.Event{}, err
 	}
 	// A decision for a migrated-away owner must not be served from this
 	// shard's (still-present, no-longer-authoritative) state: the client
 	// chases the shard hint instead.
 	if err := a.checkShard(realm.Owner); err != nil {
-		return core.DecisionResponse{}, err
+		return core.DecisionResponse{}, audit.Event{}, err
 	}
 
-	deny := func(reason string) core.DecisionResponse {
-		a.auditDecision(realm, q, "", core.DecisionDeny, reason)
+	deny := func(reason string) (core.DecisionResponse, audit.Event, error) {
 		return core.DecisionResponse{
 			Decision:        core.DecisionDeny.String(),
 			CacheTTLSeconds: 0, // denials from token problems are not cacheable
 			Reason:          reason,
 			TokenProblem:    true,
-		}
+		}, decisionEvent(realm, q, "", core.DecisionDeny, reason), nil
 	}
 
 	claims, err := a.tokenCached(ctx, q.Token)
 	if err != nil {
 		if errors.Is(err, core.ErrTokenInvalid) {
-			return deny("token invalid: " + err.Error()), nil
+			return deny("token invalid: " + err.Error())
 		}
-		return core.DecisionResponse{}, err
+		return core.DecisionResponse{}, audit.Event{}, err
 	}
 	if err := token.CheckScope(claims, "", q.Host, q.Realm); err != nil {
-		return deny("token out of scope: " + err.Error()), nil
+		return deny("token out of scope: " + err.Error())
 	}
 
 	// Recover the grant context (claims presented, consent given) so the
@@ -328,14 +337,13 @@ func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResp
 	if res.Decision == core.DecisionPermit {
 		decision = core.DecisionPermit
 	}
-	a.auditDecision(realm, q, claims.Requester, decision, res.Reason)
 	a.trace(core.PhaseObtainingDecision, "am:"+a.name, "host:"+string(q.Host),
 		"decision-response", decision.String())
 	return core.DecisionResponse{
 		Decision:        decision.String(),
 		CacheTTLSeconds: a.cacheTTLSeconds(res),
 		Reason:          res.Reason,
-	}, nil
+	}, decisionEvent(realm, q, claims.Requester, decision, res.Reason), nil
 }
 
 // cacheTTLSeconds converts an engine result's caching directive into the
@@ -352,17 +360,18 @@ func (a *AM) cacheTTLSeconds(res policy.Result) int {
 	}
 }
 
-// auditDecision records a decision event on the asynchronous audit
-// pipeline: the hot path pays one buffered-channel send and the pipeline
-// worker appends events to the log in batches, off the decision critical
-// section. Readers (Audit(), the /audit endpoints) flush the pipeline
-// first, so the log stays read-your-writes consistent.
-func (a *AM) auditDecision(realm Realm, q core.DecisionQuery, requester core.RequesterID, d core.Decision, reason string) {
-	a.auditPipe.Enqueue(audit.Event{
+// decisionEvent is the audit record of one decision. Callers hand it to
+// the asynchronous audit pipeline: the hot path pays one buffered-channel
+// send (one per batch query) and the pipeline worker appends events to
+// the log in batches, off the decision critical section. Readers
+// (Audit(), the /audit endpoints) flush the pipeline first, so the log
+// stays read-your-writes consistent.
+func decisionEvent(realm Realm, q core.DecisionQuery, requester core.RequesterID, d core.Decision, reason string) audit.Event {
+	return audit.Event{
 		Type: audit.EventDecision, Owner: realm.Owner, Host: q.Host,
 		Realm: q.Realm, Resource: q.Resource, Requester: requester,
 		Action: q.Action, Decision: d.String(), Detail: reason,
-	})
+	}
 }
 
 func dedupe(in []string) []string {

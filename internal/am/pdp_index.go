@@ -16,8 +16,10 @@ import (
 // dropped by exactly the scoped-invalidation events the PAP already
 // computes for Host cache pushes — a policy edit on one realm recompiles
 // that realm's entry and nothing else. Negative results (no policy linked,
-// or a dangling link) are cached too, so repeated queries against
-// unprotected resources stay off the store.
+// or a dangling link) are cached too, except for the common case of a
+// resource with no specific link at all: that is answered by a store
+// existence check each time, so the index holds one entry per link, never
+// one per resource a Host has ever asked about.
 //
 // Staleness discipline: unlike Host decision caches there is no TTL
 // backstop here, so every mutation that can change what a link key
@@ -194,6 +196,9 @@ func (a *AM) compiledSpecific(owner core.UserID, host core.HostID, res core.Reso
 	c, ok, ver := a.index.lookupSpecific(key)
 	if ok {
 		return c
+	}
+	if !a.store.Exists(kindLinkSpec, key) {
+		return nil
 	}
 	c = policy.Compile(a.specificPolicyFor(owner, host, res))
 	a.index.storeSpecific(key, c, ver)

@@ -5,11 +5,18 @@ import (
 	"time"
 )
 
-// Pipeline decouples hot-path event production from log appends: producers
-// enqueue onto a buffered channel and a single worker drains it, appending
-// events to the Log in batches under one lock acquisition. The AM's
-// decision path uses it so audit writes happen outside the decision
-// critical section.
+// FlushInterval bounds how long an event the pipeline has appended waits
+// in a file-backed log's write buffer: the worker writes the buffer on
+// every tick, so a process kill loses at most the last interval's events.
+const FlushInterval = 100 * time.Millisecond
+
+// Pipeline decouples event production from log appends: producers enqueue
+// onto a buffered channel and a single worker — the log's only writer —
+// drains it, appending events to the Log in batches under one lock
+// acquisition and writing the log's buffer at Flush barriers, on every
+// FlushInterval tick and at Close. The AM sends every audit event through
+// it, so sequence order is call order and audit writes happen outside the
+// decision critical section.
 //
 // The pipeline is lossless: Enqueue blocks when the buffer is full
 // (backpressure instead of dropped audit records), and Flush/Close drain
@@ -25,9 +32,11 @@ type Pipeline struct {
 	stopped chan struct{}
 }
 
-// pipelineMsg is either one event or a flush barrier (flush != nil).
+// pipelineMsg is one event, a batch of events, or a flush barrier (flush
+// != nil).
 type pipelineMsg struct {
 	event Event
+	batch []Event
 	flush chan struct{}
 }
 
@@ -55,15 +64,35 @@ func NewPipeline(log *Log, buffer int) *Pipeline {
 
 func (p *Pipeline) run() {
 	defer close(p.stopped)
+	tick := time.NewTicker(FlushInterval)
+	defer tick.Stop()
 	batch := make([]Event, 0, maxAuditBatch)
 	var flushes []chan struct{}
-	for msg := range p.ch {
-		batch, flushes = batch[:0], flushes[:0]
-		if msg.flush != nil {
-			flushes = append(flushes, msg.flush)
-		} else {
-			batch = append(batch, msg.event)
+	take := func(m pipelineMsg) {
+		switch {
+		case m.flush != nil:
+			flushes = append(flushes, m.flush)
+		case m.batch != nil:
+			batch = append(batch, m.batch...)
+		default:
+			batch = append(batch, m.event)
 		}
+	}
+	for {
+		var msg pipelineMsg
+		var ok bool
+		select {
+		case msg, ok = <-p.ch:
+		case <-tick.C:
+			p.log.flush()
+			continue
+		}
+		if !ok {
+			p.log.flush()
+			return
+		}
+		batch, flushes = batch[:0], flushes[:0]
+		take(msg)
 		// Greedily drain whatever else is already buffered, up to the
 		// batch cap, so a burst of decisions costs one lock acquisition.
 	drain:
@@ -73,17 +102,14 @@ func (p *Pipeline) run() {
 				if !ok {
 					break drain
 				}
-				if m.flush != nil {
-					flushes = append(flushes, m.flush)
-				} else {
-					batch = append(batch, m.event)
-				}
+				take(m)
 			default:
 				break drain
 			}
 		}
-		if len(batch) > 0 {
-			p.log.AppendBatch(batch)
+		p.log.AppendBatch(batch)
+		if len(flushes) > 0 {
+			p.log.flush()
 		}
 		for _, f := range flushes {
 			close(f)
@@ -97,33 +123,58 @@ func (p *Pipeline) run() {
 // racing a shutdown ever loses a record.
 func (p *Pipeline) Enqueue(e Event) {
 	// Stamp the time at enqueue, not at drain: the audit trail must record
-	// when the decision happened, not when the worker got to it — sync
-	// Appends from PAP mutations interleave with these events.
+	// when the decision happened, not when the worker got to it.
 	if e.Time.IsZero() {
 		e.Time = time.Now()
 	}
+	p.send(pipelineMsg{event: e})
+}
+
+// EnqueueBatch hands several events to the pipeline in one channel send,
+// in order; the pipeline owns the slice from then on.
+func (p *Pipeline) EnqueueBatch(events []Event) {
+	if len(events) == 0 {
+		return
+	}
+	now := time.Now()
+	for i := range events {
+		if events[i].Time.IsZero() {
+			events[i].Time = now
+		}
+	}
+	p.send(pipelineMsg{batch: events})
+}
+
+func (p *Pipeline) send(m pipelineMsg) {
 	p.mu.RLock()
 	if p.closed {
 		p.mu.RUnlock()
-		p.log.Append(e)
+		if m.batch == nil {
+			p.log.Append(m.event)
+			return
+		}
+		p.log.AppendBatch(m.batch)
+		p.log.flush()
 		return
 	}
 	// Send while holding the read lock: Close takes the write lock, so the
 	// channel cannot close mid-send. The worker never takes p.mu, so a
 	// blocked send still drains.
-	p.ch <- pipelineMsg{event: e}
+	p.ch <- m
 	p.mu.RUnlock()
 }
 
-// Depth reports how many events are buffered but not yet appended — the
-// health signal surfaced by the AM's /v1/healthz (a persistently full
-// buffer means the log writer is the bottleneck).
+// Depth reports how many messages (single events or batches) are buffered
+// but not yet appended — the health signal surfaced by the AM's
+// /v1/healthz (a persistently full buffer means the log writer is the
+// bottleneck).
 func (p *Pipeline) Depth() int { return len(p.ch) }
 
 // Capacity reports the pipeline's buffer size.
 func (p *Pipeline) Capacity() int { return cap(p.ch) }
 
-// Flush blocks until every event enqueued before the call is in the log.
+// Flush blocks until every event enqueued before the call is in the log
+// and a file-backed log has written it.
 func (p *Pipeline) Flush() {
 	p.mu.RLock()
 	if p.closed {
@@ -136,8 +187,9 @@ func (p *Pipeline) Flush() {
 	<-done
 }
 
-// Close drains outstanding events and stops the worker. Safe to call more
-// than once; Enqueue after Close degrades to a synchronous append.
+// Close drains outstanding events, writes them, and stops the worker. Safe
+// to call more than once; Enqueue after Close degrades to a synchronous
+// append. The Log itself stays open (see Log.Close).
 func (p *Pipeline) Close() {
 	p.mu.Lock()
 	if p.closed {

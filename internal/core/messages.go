@@ -326,11 +326,16 @@ type StoreHealth struct {
 }
 
 // AuditHealth reports the audit log and its asynchronous pipeline; Depth
-// persistently near Cap means the log writer is the bottleneck.
+// persistently near Cap means the log writer is the bottleneck. Events,
+// Bytes and Segments describe what retention currently keeps; OldestSeq
+// moves forward each time retention deletes the oldest segment.
 type AuditHealth struct {
-	Events        int `json:"events"`
-	PipelineDepth int `json:"pipeline_depth"`
-	PipelineCap   int `json:"pipeline_capacity"`
+	Events        int   `json:"events"`
+	PipelineDepth int   `json:"pipeline_depth"`
+	PipelineCap   int   `json:"pipeline_capacity"`
+	Bytes         int64 `json:"bytes"`
+	Segments      int   `json:"segments"`
+	OldestSeq     int64 `json:"oldest_seq"`
 }
 
 // AbuseHealth is the rate-limiter gauge block on /v1/healthz and

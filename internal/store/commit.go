@@ -103,7 +103,7 @@ func (s *Store) flushPending() {
 	}
 	s.walMu.Unlock()
 
-	err := w.appendBatch(out)
+	err := w.AppendBatch(out)
 
 	s.walMu.Lock()
 	if err == nil {
@@ -126,7 +126,7 @@ func (s *Store) flushPending() {
 		// Writers already hold sequence numbers past the failed batch;
 		// reusing them would collide and skipping them would tear the
 		// replication stream. Poison the log so writes fail loudly.
-		w.poison()
+		w.Poison()
 	}
 	s.walMu.Unlock()
 	b.err = err

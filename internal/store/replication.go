@@ -227,7 +227,7 @@ func (s *Store) ApplyReplicated(rec core.ReplRecord) error {
 		return fmt.Errorf("%w: applied %d, got %d", ErrReplicationGap, applied, rec.Seq)
 	}
 	if s.wal != nil {
-		if s.walClosing || s.wal.isClosed() {
+		if s.walClosing || s.wal.IsClosed() {
 			s.walMu.Unlock()
 			return ErrClosed
 		}
@@ -321,7 +321,7 @@ func (s *Store) LoadReplicationSnapshot(snap core.ReplSnapshot) error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.wal != nil {
-		if err := s.wal.reset(); err != nil {
+		if err := s.wal.Reset(); err != nil {
 			return err
 		}
 	}

@@ -93,7 +93,7 @@ func (s *Store) Snapshot(path string) error {
 	if compact {
 		s.walMu.Lock()
 		defer s.walMu.Unlock()
-		if err := s.wal.reset(); err != nil {
+		if err := s.wal.Reset(); err != nil {
 			return err
 		}
 	}

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 
 	"umac/internal/core"
+	"umac/internal/seglog"
 )
 
 // Common errors.
@@ -46,8 +47,8 @@ var (
 	// ErrBadKey is returned for empty kinds or keys.
 	ErrBadKey = errors.New("store: kind and key must be non-empty")
 	// ErrClosed is returned for writes against a store whose WAL has been
-	// closed.
-	ErrClosed = errors.New("store: closed")
+	// closed (it is the WAL's own closed error).
+	ErrClosed = seglog.ErrClosed
 )
 
 // Entity is a stored record: an opaque JSON document plus a version counter
@@ -105,7 +106,7 @@ type Store struct {
 	shards [shardCount]shard
 
 	walMu sync.Mutex
-	wal   *wal // nil = memory-only
+	wal   *seglog.Log // nil = memory-only
 	// lastSeq is the applied WAL offset: the sequence number of the newest
 	// mutation durably logged locally or applied from a replication stream.
 	lastSeq int64
@@ -214,7 +215,7 @@ func (s *Store) logMutation(op, kind, key string, version int64, data json.RawMe
 		s.walMu.Unlock()
 		return nil
 	}
-	if s.walClosing || s.wal.isClosed() {
+	if s.walClosing || s.wal.IsClosed() {
 		s.walMu.Unlock()
 		return internalFault(ErrClosed)
 	}
@@ -476,7 +477,7 @@ func (s *Store) WALSize() int64 {
 	if s.wal == nil {
 		return 0
 	}
-	return s.wal.totalSize()
+	return s.wal.TotalSize()
 }
 
 // WALSegments returns the number of on-disk WAL segment files (0 for
@@ -486,7 +487,7 @@ func (s *Store) WALSegments() int {
 	if s.wal == nil {
 		return 0
 	}
-	return s.wal.segmentCount()
+	return s.wal.SegmentCount()
 }
 
 // Close drains the group-commit queue, then flushes and closes the
@@ -504,7 +505,7 @@ func (s *Store) Close() error {
 		close(s.commitStop)
 	}
 	<-s.committerDone
-	return s.wal.close()
+	return s.wal.Close()
 }
 
 // options configures Open.

@@ -1,36 +1,19 @@
 package store
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"sync"
+
+	"umac/internal/seglog"
 )
 
-// The write-ahead log is a sequence of segment files — "<base>.000001",
-// "<base>.000002", … — each a flat run of length-prefixed, checksummed
-// records:
-//
-//	uint32 LE payload length | uint32 LE CRC-32 (IEEE) of payload | payload
-//
-// The payload is the JSON encoding of walRecord. Appends go to the
-// highest-numbered (active) segment; once it crosses the size limit it is
-// sealed (synced, closed, never written again) and a fresh segment is
-// opened. Because sealed segments are immutable, compaction after a
-// snapshot deletes them outright instead of rewriting one growing file.
-//
-// Replay walks segments in index order and records in offset order. Batch
-// appends are a single write(2) call, so the only failure mode a hard kill
-// can produce is a torn record at the tail of the LAST segment — which the
-// checksum (or a short read) detects and replay discards. A bad record
-// anywhere in a sealed segment is real corruption (records after it were
-// acknowledged) and fails the open instead of silently dropping them.
+// The write-ahead log is a segmented log (internal/seglog: framing,
+// segment naming, torn-tail replay, single-write batch appends, seal and
+// roll) rooted at "<state>.wal" whose record payload is the JSON encoding
+// of walRecord. Compaction after a snapshot deletes the sealed segments
+// and truncates the active one (seglog.Log.Reset).
 
 // Operations recorded in the log.
 const (
@@ -50,37 +33,8 @@ type walRecord struct {
 	Data    json.RawMessage `json:"data,omitempty"`
 }
 
-const walHeaderSize = 8
-
-// DefaultWALSegmentSize is the roll threshold for WAL segments. Small
-// enough that compaction reclaims space promptly, large enough that a
-// segment holds tens of thousands of typical records.
-const DefaultWALSegmentSize int64 = 4 << 20
-
-// walSegment describes one sealed, immutable segment file.
-type walSegment struct {
-	index int
-	path  string
-	size  int64
-}
-
-// wal is an open segmented write-ahead log. The committer goroutine calls
-// appendBatch without holding the store's walMu (so writers can keep
-// enqueuing during an fsync); the internal mutex keeps that I/O coherent
-// with reset/close/size readers, which run under walMu at moments when no
-// batch is in flight.
-type wal struct {
-	mu       sync.Mutex
-	base     string
-	fsync    bool
-	segLimit int64
-
-	sealed      []walSegment // immutable older segments, ascending index
-	active      *os.File
-	activeIndex int
-	activeSize  int64
-	closed      bool
-}
+// DefaultWALSegmentSize is the roll threshold for WAL segments.
+const DefaultWALSegmentSize = seglog.DefaultSegmentSize
 
 // encodeRecord frames one record for appending: header plus JSON payload.
 func encodeRecord(rec walRecord) ([]byte, error) {
@@ -88,314 +42,51 @@ func encodeRecord(rec walRecord) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: wal encode: %w", err)
 	}
-	buf := make([]byte, walHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[walHeaderSize:], payload)
-	return buf, nil
+	return seglog.AppendFrame(make([]byte, 0, seglog.HeaderSize+len(payload)), payload), nil
 }
 
-// segmentPath names segment index under base: "<base>.000042".
-func segmentPath(base string, index int) string {
-	return fmt.Sprintf("%s.%06d", base, index)
+// decodeRecord is the replay callback's decoder: an undecodable payload
+// ends the segment's scan like a bad checksum.
+func decodeRecord(payload []byte, out *[]walRecord) bool {
+	var rec walRecord
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return false
+	}
+	*out = append(*out, rec)
+	return true
+}
+
+// walSegment describes one segment file of the WAL.
+type walSegment struct {
+	path string
+	size int64
 }
 
 // listSegments finds the on-disk segments of the log rooted at base,
-// ascending by index. Files whose suffix is not exactly six digits are not
-// segments and are ignored.
+// ascending by index.
 func listSegments(base string) ([]walSegment, error) {
-	matches, err := filepath.Glob(base + ".*")
+	segs, err := seglog.List(base)
 	if err != nil {
-		return nil, fmt.Errorf("store: wal scan: %w", err)
+		return nil, fmt.Errorf("store: wal: %w", err)
 	}
-	var segs []walSegment
-	for _, m := range matches {
-		suffix := m[len(base)+1:]
-		idx, ok := parseSegmentIndex(suffix)
-		if !ok {
-			continue
-		}
-		info, err := os.Stat(m)
-		if err != nil || info.IsDir() {
-			continue
-		}
-		segs = append(segs, walSegment{index: idx, path: m, size: info.Size()})
+	out := make([]walSegment, len(segs))
+	for i, s := range segs {
+		out[i] = walSegment{path: s.Path, size: s.Size}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].index < segs[j].index })
-	return segs, nil
+	return out, nil
 }
 
-// parseSegmentIndex accepts exactly six ASCII digits.
-func parseSegmentIndex(s string) (int, bool) {
-	if len(s) != 6 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// openWAL opens the segmented log rooted at base (creating segment 1 if the
-// log is new), replays every intact record across all segments in order,
-// and truncates a torn or corrupt tail — legal only in the last segment —
-// so the active segment ends on a record boundary ready for appends. A
-// pre-segmentation flat log at base itself is adopted as the oldest
-// segment.
-func openWAL(base string, fsync bool, segLimit int64) (*wal, []walRecord, error) {
-	if segLimit <= 0 {
-		segLimit = DefaultWALSegmentSize
-	}
-	segs, err := listSegments(base)
-	if err != nil {
-		return nil, nil, err
-	}
-	if info, err := os.Stat(base); err == nil && !info.IsDir() {
-		idx := 1
-		if len(segs) > 0 {
-			idx = segs[0].index - 1
-			if idx < 0 {
-				return nil, nil, fmt.Errorf("store: wal: flat log %s conflicts with segment %s", base, segs[0].path)
-			}
-		}
-		legacy := walSegment{index: idx, path: segmentPath(base, idx), size: info.Size()}
-		if err := os.Rename(base, legacy.path); err != nil {
-			return nil, nil, fmt.Errorf("store: wal adopt flat log: %w", err)
-		}
-		segs = append([]walSegment{legacy}, segs...)
-	}
-
-	w := &wal{base: base, fsync: fsync, segLimit: segLimit}
-	if len(segs) == 0 {
-		f, err := os.OpenFile(segmentPath(base, 1), os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: open wal: %w", err)
-		}
-		w.active, w.activeIndex = f, 1
-		return w, nil, nil
-	}
+// openWAL opens the segmented log rooted at base and returns every intact
+// record across all segments in order (see seglog.Open for the torn-tail
+// and corruption rules).
+func openWAL(base string, fsync bool, segLimit int64) (*seglog.Log, []walRecord, error) {
 	var records []walRecord
-	for i, seg := range segs {
-		f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: open wal segment: %w", err)
-		}
-		recs, good, err := replay(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		records = append(records, recs...)
-		if i < len(segs)-1 {
-			// Sealed segments were synced whole before the next one took
-			// appends: anything short of fully intact is real corruption.
-			f.Close()
-			if good != seg.size {
-				return nil, nil, fmt.Errorf("store: wal segment %s corrupt at offset %d of %d", seg.path, good, seg.size)
-			}
-			w.sealed = append(w.sealed, seg)
-			continue
-		}
-		// Last segment: discard the torn tail (a write in flight when the
-		// process died) and keep the file active for appends.
-		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: wal truncate tail: %w", err)
-		}
-		if _, err := f.Seek(good, io.SeekStart); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("store: wal seek: %w", err)
-		}
-		w.active, w.activeIndex, w.activeSize = f, seg.index, good
+	w, err := seglog.Open(base, seglog.Options{SegmentSize: segLimit, Fsync: fsync},
+		func(p []byte) bool { return decodeRecord(p, &records) })
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: open wal: %w", err)
 	}
 	return w, records, nil
-}
-
-// replay scans one segment from the start, returning every intact record
-// and the offset just past the last one. Corruption (bad checksum, short
-// read, undecodable payload) ends the scan rather than failing it; the
-// caller decides whether a short scan is a legal torn tail or corruption.
-func replay(f *os.File) ([]walRecord, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("store: wal seek: %w", err)
-	}
-	var (
-		records []walRecord
-		good    int64
-		header  [walHeaderSize]byte
-	)
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, good, nil
-			}
-			return nil, 0, fmt.Errorf("store: wal read: %w", err)
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return records, good, nil
-			}
-			return nil, 0, fmt.Errorf("store: wal read: %w", err)
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return records, good, nil
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return records, good, nil
-		}
-		records = append(records, rec)
-		good += walHeaderSize + int64(length)
-	}
-}
-
-// appendBatch writes one batch of framed records with a single write(2)
-// and, when fsync is on, a single Sync — the group-commit write path. On
-// success the active segment is sealed and rolled if it crossed the size
-// limit (a batch never spans segments; segments may overshoot the limit by
-// up to one batch).
-func (w *wal) appendBatch(buf []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	if _, err := w.active.Write(buf); err != nil {
-		// A partial write (ENOSPC) would leave torn bytes that make every
-		// LATER acknowledged record unreachable at replay. Rewind to the
-		// last record boundary; if even that fails, poison the log so
-		// writes fail loudly instead of silently losing durability.
-		if w.active.Truncate(w.activeSize) != nil {
-			w.closed = true
-		} else if _, serr := w.active.Seek(w.activeSize, io.SeekStart); serr != nil {
-			w.closed = true
-		}
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	if w.fsync {
-		if err := w.active.Sync(); err != nil {
-			return fmt.Errorf("store: wal sync: %w", err)
-		}
-	}
-	w.activeSize += int64(len(buf))
-	if w.activeSize >= w.segLimit {
-		if err := w.rollLocked(); err != nil {
-			// The batch is durable but the log cannot take further
-			// appends coherently; poison it rather than risk appending to
-			// a half-sealed segment.
-			w.closed = true
-			return err
-		}
-	}
-	return nil
-}
-
-// rollLocked seals the active segment and opens the next one. Seal always
-// syncs — even without the fsync option — so replay can trust every
-// non-final segment to be intact.
-func (w *wal) rollLocked() error {
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("store: wal seal sync: %w", err)
-	}
-	if err := w.active.Close(); err != nil {
-		return fmt.Errorf("store: wal seal close: %w", err)
-	}
-	w.sealed = append(w.sealed, walSegment{
-		index: w.activeIndex,
-		path:  segmentPath(w.base, w.activeIndex),
-		size:  w.activeSize,
-	})
-	f, err := os.OpenFile(segmentPath(w.base, w.activeIndex+1), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: wal roll: %w", err)
-	}
-	w.active = f
-	w.activeIndex++
-	w.activeSize = 0
-	return nil
-}
-
-// poison marks the log unusable so subsequent writes fail loudly.
-func (w *wal) poison() {
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
-}
-
-// isClosed reports whether the log has been closed or poisoned.
-func (w *wal) isClosed() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.closed
-}
-
-// totalSize is the log's byte size across all segments.
-func (w *wal) totalSize() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	n := w.activeSize
-	for _, seg := range w.sealed {
-		n += seg.size
-	}
-	return n
-}
-
-// segmentCount is the number of on-disk segment files (sealed + active).
-func (w *wal) segmentCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.sealed) + 1
-}
-
-// reset empties the log after a snapshot has captured its contents: sealed
-// segments are deleted outright (immutable and fully subsumed) and the
-// active segment is truncated in place. Only called at moments when no
-// batch is in flight (see Store.Snapshot / LoadReplicationSnapshot).
-func (w *wal) reset() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrClosed
-	}
-	for _, seg := range w.sealed {
-		if err := os.Remove(seg.path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("store: wal reset: %w", err)
-		}
-	}
-	w.sealed = nil
-	if err := w.active.Truncate(0); err != nil {
-		return fmt.Errorf("store: wal reset: %w", err)
-	}
-	if _, err := w.active.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: wal reset seek: %w", err)
-	}
-	if err := w.active.Sync(); err != nil {
-		return fmt.Errorf("store: wal reset sync: %w", err)
-	}
-	w.activeSize = 0
-	return nil
-}
-
-// close syncs and closes the active segment. Idempotent.
-func (w *wal) close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if err := w.active.Sync(); err != nil {
-		w.active.Close()
-		return fmt.Errorf("store: wal close sync: %w", err)
-	}
-	return w.active.Close()
 }
 
 // WALInfo summarizes a segmented log on disk, as VerifyWAL reads it.
@@ -427,7 +118,7 @@ func VerifyWAL(base string) (WALInfo, error) {
 	}
 	if info, err := os.Stat(base); err == nil && !info.IsDir() {
 		// A not-yet-adopted flat log orders before every segment.
-		segs = append([]walSegment{{index: -1, path: base, size: info.Size()}}, segs...)
+		segs = append([]walSegment{{path: base, size: info.Size()}}, segs...)
 	}
 	out := WALInfo{Segments: len(segs), Contiguous: true}
 	for i, seg := range segs {
@@ -435,10 +126,12 @@ func VerifyWAL(base string) (WALInfo, error) {
 		if err != nil {
 			return WALInfo{}, fmt.Errorf("store: verify wal: %w", err)
 		}
-		recs, good, err := replay(f)
+		var recs []walRecord
+		good, err := seglog.Scan(io.NewSectionReader(f, 0, seg.size), seg.size,
+			func(p []byte) bool { return decodeRecord(p, &recs) })
 		f.Close()
 		if err != nil {
-			return WALInfo{}, err
+			return WALInfo{}, fmt.Errorf("store: verify wal: %w", err)
 		}
 		if i < len(segs)-1 && good != seg.size {
 			return WALInfo{}, fmt.Errorf("store: wal segment %s corrupt at offset %d of %d", seg.path, good, seg.size)
