@@ -157,16 +157,19 @@ func (a *AM) ShardName() string { return a.clusterCfg.Shard }
 
 // shardOf resolves the shard owning owner: a store-persisted override when
 // one names a known shard, the hash ring otherwise. ok is false on an
-// unsharded node.
+// unsharded node. Almost no owner has an override, so the lookup asks
+// Exists first: a miss then costs no allocation.
 func (a *AM) shardOf(owner core.UserID) (core.ShardInfo, bool) {
 	if !a.sharded() {
 		return core.ShardInfo{}, false
 	}
 	ring := a.ring()
-	var name string
-	if _, err := a.store.Get(kindShardOverride, string(owner), &name); err == nil {
-		if s, ok := ring.Shard(name); ok {
-			return s, true
+	if a.store.Exists(kindShardOverride, string(owner)) {
+		var name string
+		if _, err := a.store.Get(kindShardOverride, string(owner), &name); err == nil {
+			if s, ok := ring.Shard(name); ok {
+				return s, true
+			}
 		}
 	}
 	return ring.Owner(owner), true

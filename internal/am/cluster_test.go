@@ -100,6 +100,16 @@ func TestShardGateOnMutatingRoutes(t *testing.T) {
 	}
 }
 
+// TestShardOfWithoutOverrideAllocatesNothing: resolving an owner that has
+// no override — every owner not mid-migration — runs on every decision
+// item, so it must not allocate.
+func TestShardOfWithoutOverrideAllocatesNothing(t *testing.T) {
+	f := newClusterFixture(t)
+	if n := testing.AllocsPerRun(100, func() { f.amA.shardOf(f.ownerA) }); n != 0 {
+		t.Fatalf("shardOf: %v allocs per call, want 0", n)
+	}
+}
+
 // protocolFixture pairs a host and protects a realm for owner on am.
 func protocolFixture(t *testing.T, a *AM, owner core.UserID) (pairingID string, token string) {
 	t.Helper()

@@ -1,10 +1,8 @@
 package pep
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"encoding/hex"
-	"hash/fnv"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,14 +27,28 @@ import (
 //     decides for, so an AM invalidation push naming the realms/resources a
 //     policy change affected evicts exactly those entries — unrelated
 //     cached decisions keep serving locally (see InvalidateScope);
-//   - expired entries are deleted when a Get trips over them, and each
-//     shard opportunistically sweeps itself every sweepEvery writes, so
-//     stale entries cannot accumulate between full invalidations. Sweep
-//     runs the same pass on demand.
+//   - expired entries are deleted when a Get trips over them and by Sweep;
+//     until then they occupy a slot of the bounded arena like any other
+//     entry, and Len does not count them.
+//
+// No per-entry storage holds a pointer, so the garbage collector never
+// scans the cache however full it is. Each shard keeps its entries in one
+// slice of fixed-size slots, linked into LRU order by int32 indexes, and
+// indexes them by a fixed-size key. Keys of at most 32 bytes are stored
+// verbatim with their length and longer ones as their SHA-256, so two
+// distinct keys never share a slot. Scope strings are stored as 64-bit
+// hashes under a per-cache seed; equal strings always hash equal, so an
+// invalidation can never miss an entry it names, and a collision can only
+// evict an unrelated entry too — a revoked grant still stops permitting.
 type DecisionCache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
 	now      func() time.Time
+	// epoch anchors slot expiry times, stored as nanoseconds since it, so
+	// expiry follows the monotonic clock like the time.Time values it came
+	// from.
+	epoch time.Time
+	seed  maphash.Seed
 
 	// gen counts invalidations. A decision-query response that was in
 	// flight when an invalidation landed must not be written back (it was
@@ -58,15 +70,48 @@ const cacheShards = 16
 // DefaultCacheCapacity bounds the total entry count of NewDecisionCache.
 const DefaultCacheCapacity = 65536
 
-// sweepEvery is how many writes a shard accepts between opportunistic
-// expiry sweeps.
-const sweepEvery = 256
+// nilSlot ends an LRU or free list.
+const nilSlot = -1
 
 type cacheShard struct {
 	mu    sync.Mutex
-	byKey map[string]*list.Element
-	lru   *list.List // front = most recently used
-	puts  int        // writes since the last opportunistic sweep
+	index map[entryKey]int32
+	slots []slot // arena; never longer than perShard
+	head  int32  // most recently used slot
+	tail  int32  // least recently used slot
+	free  int32  // first unused slot, chained through next
+}
+
+// entryKey is a cache key in fixed-size form.
+type entryKey struct {
+	b [sha256.Size]byte
+	n uint8 // length of a key stored verbatim, or hashedKey
+}
+
+// hashedKey marks an entryKey holding the SHA-256 of a key longer than
+// sha256.Size bytes, so it never equals a verbatim key.
+const hashedKey = sha256.Size + 1
+
+// stringKey converts a caller's string key.
+func stringKey(key string) entryKey {
+	var k entryKey
+	if len(key) <= len(k.b) {
+		k.n = uint8(copy(k.b[:], key))
+		return k
+	}
+	k.b, k.n = sha256.Sum256([]byte(key)), hashedKey
+	return k
+}
+
+// scopeTags is an EntryScope in hashed form.
+type scopeTags struct{ owner, realm, resource uint64 }
+
+type slot struct {
+	expires    int64 // nanoseconds since the cache's epoch
+	tags       scopeTags
+	prev, next int32
+	key        entryKey
+	permit     bool
 }
 
 // EntryScope names what a cached decision is about, so invalidation pushes
@@ -87,31 +132,30 @@ type Scope struct {
 	Resources []core.ResourceID
 }
 
-func (s Scope) matches(e EntryScope) bool {
-	if e.Owner != s.Owner {
+// scopeMatcher is a Scope in hashed form.
+type scopeMatcher struct {
+	owner             uint64
+	realms, resources []uint64
+}
+
+func (m *scopeMatcher) matches(t scopeTags) bool {
+	if t.owner != m.owner {
 		return false
 	}
-	if len(s.Realms) == 0 && len(s.Resources) == 0 {
+	if len(m.realms) == 0 && len(m.resources) == 0 {
 		return true
 	}
-	for _, r := range s.Realms {
-		if e.Realm == r {
+	for _, r := range m.realms {
+		if t.realm == r {
 			return true
 		}
 	}
-	for _, r := range s.Resources {
-		if e.Resource == r {
+	for _, r := range m.resources {
+		if t.resource == r {
 			return true
 		}
 	}
 	return false
-}
-
-type cacheEntry struct {
-	key     string
-	permit  bool
-	expires time.Time
-	scope   EntryScope
 }
 
 // NewDecisionCache returns an empty cache with DefaultCacheCapacity.
@@ -120,16 +164,18 @@ func NewDecisionCache() *DecisionCache {
 }
 
 // NewDecisionCacheCap returns an empty cache bounded to roughly capacity
-// entries (rounded up to a multiple of the shard count).
+// entries: each shard holds capacity/16 of them (rounded down, at least
+// one).
 func NewDecisionCacheCap(capacity int) *DecisionCache {
 	perShard := capacity / cacheShards
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &DecisionCache{perShard: perShard, now: time.Now}
+	c := &DecisionCache{perShard: perShard, now: time.Now, epoch: time.Now(), seed: maphash.MakeSeed()}
 	for i := range c.shards {
-		c.shards[i].byKey = make(map[string]*list.Element)
-		c.shards[i].lru = list.New()
+		s := &c.shards[i]
+		s.index = make(map[entryKey]int32)
+		s.head, s.tail, s.free = nilSlot, nilSlot, nilSlot
 	}
 	return c
 }
@@ -138,47 +184,53 @@ func NewDecisionCacheCap(capacity int) *DecisionCache {
 // cache is shared between goroutines.
 func (c *DecisionCache) SetClock(now func() time.Time) { c.now = now }
 
-// cacheKey derives the cache key. The token identifies the (requester,
-// realm) grant; resource and action narrow it to the exact decision the AM
-// issued ("whether an access control decision has been already obtained
-// from AM for this Requester to access this particular resource").
-func cacheKey(token string, res core.ResourceID, action core.Action) string {
-	h := sha256.New()
-	h.Write([]byte(token))
-	h.Write([]byte{0})
-	h.Write([]byte(res))
-	h.Write([]byte{0})
-	h.Write([]byte(action))
-	return hex.EncodeToString(h.Sum(nil))
+// cacheKey derives the cache key: the SHA-256 of token, resource and
+// action. The token identifies the (requester, realm) grant; resource and
+// action narrow it to the exact decision the AM issued ("whether an access
+// control decision has been already obtained from AM for this Requester to
+// access this particular resource").
+func cacheKey(token string, res core.ResourceID, action core.Action) entryKey {
+	var buf [512]byte
+	b := append(buf[:0], token...)
+	b = append(b, 0)
+	b = append(b, res...)
+	b = append(b, 0)
+	b = append(b, action...)
+	return entryKey{b: sha256.Sum256(b), n: sha256.Size}
 }
 
-func (c *DecisionCache) shardFor(key string) *cacheShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()&(cacheShards-1)]
+func (c *DecisionCache) shardFor(k entryKey) *cacheShard {
+	return &c.shards[maphash.Bytes(c.seed, k.b[:])&(cacheShards-1)]
 }
+
+func (c *DecisionCache) clock() int64 { return int64(c.now().Sub(c.epoch)) }
+
+func (c *DecisionCache) tag(s string) uint64 { return maphash.String(c.seed, s) }
 
 // Get returns the cached decision if present and fresh. An expired entry is
 // deleted on the spot rather than left to linger until the next sweep.
 func (c *DecisionCache) Get(key string) (permit, ok bool) {
-	s := c.shardFor(key)
-	now := c.now()
+	return c.get(stringKey(key))
+}
+
+func (c *DecisionCache) get(k entryKey) (permit, ok bool) {
+	s := c.shardFor(k)
+	now := c.clock()
 	s.mu.Lock()
-	el, present := s.byKey[key]
+	i, present := s.index[k]
 	if !present {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return false, false
 	}
-	e := el.Value.(*cacheEntry)
-	if now.After(e.expires) {
-		s.removeLocked(el)
+	if now > s.slots[i].expires {
+		s.removeLocked(i)
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return false, false
 	}
-	s.lru.MoveToFront(el)
-	permit = e.permit
+	s.touchLocked(i)
+	permit = s.slots[i].permit
 	s.mu.Unlock()
 	c.hits.Add(1)
 	return permit, true
@@ -199,7 +251,7 @@ func (c *DecisionCache) Gen() uint64 { return c.gen.Load() }
 // PutScoped stores a decision for ttlSeconds, tagged with the (owner,
 // realm, resource) it was issued for.
 func (c *DecisionCache) PutScoped(key string, scope EntryScope, permit bool, ttlSeconds int) {
-	c.putScoped(key, scope, permit, ttlSeconds, 0, false)
+	c.put(stringKey(key), scope, permit, ttlSeconds, 0, false)
 }
 
 // PutScopedAt is PutScoped guarded by the invalidation generation: if any
@@ -209,76 +261,115 @@ func (c *DecisionCache) PutScoped(key string, scope EntryScope, permit bool, ttl
 // either sees the entry (and evicts it) or has already bumped the
 // generation (and the write is dropped); a stale permit can never survive.
 func (c *DecisionCache) PutScopedAt(gen uint64, key string, scope EntryScope, permit bool, ttlSeconds int) {
-	c.putScoped(key, scope, permit, ttlSeconds, gen, true)
+	c.put(stringKey(key), scope, permit, ttlSeconds, gen, true)
 }
 
-func (c *DecisionCache) putScoped(key string, scope EntryScope, permit bool, ttlSeconds int, gen uint64, checkGen bool) {
+func (c *DecisionCache) put(k entryKey, scope EntryScope, permit bool, ttlSeconds int, gen uint64, checkGen bool) {
 	if ttlSeconds <= 0 {
 		return
 	}
-	now := c.now()
-	expires := now.Add(time.Duration(ttlSeconds) * time.Second)
-	s := c.shardFor(key)
+	expires := c.clock() + int64(time.Duration(ttlSeconds)*time.Second)
+	tags := scopeTags{c.tag(string(scope.Owner)), c.tag(string(scope.Realm)), c.tag(string(scope.Resource))}
+	s := c.shardFor(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if checkGen && c.gen.Load() != gen {
-		s.mu.Unlock()
 		return
 	}
-	if el, ok := s.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.permit, e.expires, e.scope = permit, expires, scope
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
+	if i, ok := s.index[k]; ok {
+		sl := &s.slots[i]
+		sl.permit, sl.expires, sl.tags = permit, expires, tags
+		s.touchLocked(i)
 		return
 	}
-	if s.lru.Len() >= c.perShard {
+	if len(s.index) >= c.perShard {
 		// Full shard: evict the least recently used entry.
-		if back := s.lru.Back(); back != nil {
-			s.removeLocked(back)
-			c.evictions.Add(1)
+		s.removeLocked(s.tail)
+		c.evictions.Add(1)
+	}
+	i := s.free
+	if i != nilSlot {
+		s.free = s.slots[i].next
+	} else {
+		if len(s.slots) == cap(s.slots) {
+			grown := make([]slot, len(s.slots), min(max(2*cap(s.slots), 8), c.perShard))
+			copy(grown, s.slots)
+			s.slots = grown
 		}
+		i = int32(len(s.slots))
+		s.slots = append(s.slots, slot{})
 	}
-	s.byKey[key] = s.lru.PushFront(&cacheEntry{key: key, permit: permit, expires: expires, scope: scope})
-	s.puts++
-	if s.puts >= sweepEvery {
-		s.puts = 0
-		s.sweepLocked(now)
-	}
-	s.mu.Unlock()
+	s.slots[i] = slot{expires: expires, tags: tags, key: k, permit: permit}
+	s.pushFrontLocked(i)
+	s.index[k] = i
 }
 
-// removeLocked drops an element from the shard; the shard lock is held.
-func (s *cacheShard) removeLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	delete(s.byKey, e.key)
-	s.lru.Remove(el)
+// pushFrontLocked links slot i in as the most recently used.
+func (s *cacheShard) pushFrontLocked(i int32) {
+	s.slots[i].prev, s.slots[i].next = nilSlot, s.head
+	if s.head != nilSlot {
+		s.slots[s.head].prev = i
+	} else {
+		s.tail = i
+	}
+	s.head = i
 }
 
-// sweepLocked removes every expired entry from the shard; the shard lock is
-// held. Returns how many were removed.
-func (s *cacheShard) sweepLocked(now time.Time) int {
+// unlinkLocked takes slot i out of the LRU order.
+func (s *cacheShard) unlinkLocked(i int32) {
+	sl := &s.slots[i]
+	if sl.prev != nilSlot {
+		s.slots[sl.prev].next = sl.next
+	} else {
+		s.head = sl.next
+	}
+	if sl.next != nilSlot {
+		s.slots[sl.next].prev = sl.prev
+	} else {
+		s.tail = sl.prev
+	}
+}
+
+// touchLocked marks slot i most recently used.
+func (s *cacheShard) touchLocked(i int32) {
+	if s.head != i {
+		s.unlinkLocked(i)
+		s.pushFrontLocked(i)
+	}
+}
+
+// removeLocked drops slot i's entry and puts the slot on the free list.
+func (s *cacheShard) removeLocked(i int32) {
+	s.unlinkLocked(i)
+	delete(s.index, s.slots[i].key)
+	s.slots[i].next = s.free
+	s.free = i
+}
+
+// removeIfLocked removes every entry drop selects and returns how many.
+func (s *cacheShard) removeIfLocked(drop func(*slot) bool) int {
 	var removed int
-	for el := s.lru.Front(); el != nil; {
-		next := el.Next()
-		if now.After(el.Value.(*cacheEntry).expires) {
-			s.removeLocked(el)
+	for i := s.head; i != nilSlot; {
+		next := s.slots[i].next
+		if drop(&s.slots[i]) {
+			s.removeLocked(i)
 			removed++
 		}
-		el = next
+		i = next
 	}
 	return removed
 }
 
-// Sweep removes every expired entry and reports how many it dropped. The
-// cache also sweeps opportunistically as it is written, so calling Sweep is
-// optional hygiene for long-idle Hosts.
+// Sweep removes every expired entry and reports how many it dropped. Get
+// already reaps the expired entries it meets and the arena bounds what the
+// rest can hold, so calling Sweep is optional hygiene for long-idle Hosts.
 func (c *DecisionCache) Sweep() int {
-	now := c.now()
+	now := c.clock()
 	var removed int
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		removed += s.sweepLocked(now)
+		removed += s.removeIfLocked(func(sl *slot) bool { return now > sl.expires })
 		s.mu.Unlock()
 	}
 	return removed
@@ -291,8 +382,9 @@ func (c *DecisionCache) Invalidate() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.byKey = make(map[string]*list.Element)
-		s.lru.Init()
+		clear(s.index)
+		s.slots = s.slots[:0]
+		s.head, s.tail, s.free = nilSlot, nilSlot, nilSlot
 		s.mu.Unlock()
 	}
 }
@@ -301,22 +393,23 @@ func (c *DecisionCache) Invalidate() {
 // affected — entries whose owner matches and whose realm or resource is
 // named by the scope (or all of the owner's entries when the scope names
 // none). Unrelated entries survive and keep serving locally, so one policy
-// edit does not force the Host to re-query every cached decision. Returns
-// how many entries were evicted.
+// edit does not force the Host to re-query every cached decision. Matching
+// compares hashes, so it can evict more than the scope names but never
+// less. Returns how many entries were evicted.
 func (c *DecisionCache) InvalidateScope(scope Scope) int {
 	c.gen.Add(1)
+	m := scopeMatcher{owner: c.tag(string(scope.Owner))}
+	for _, r := range scope.Realms {
+		m.realms = append(m.realms, c.tag(string(r)))
+	}
+	for _, r := range scope.Resources {
+		m.resources = append(m.resources, c.tag(string(r)))
+	}
 	var removed int
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; {
-			next := el.Next()
-			if scope.matches(el.Value.(*cacheEntry).scope) {
-				s.removeLocked(el)
-				removed++
-			}
-			el = next
-		}
+		removed += s.removeIfLocked(func(sl *slot) bool { return m.matches(sl.tags) })
 		s.mu.Unlock()
 	}
 	return removed
@@ -325,13 +418,13 @@ func (c *DecisionCache) InvalidateScope(scope Scope) int {
 // Len returns the number of fresh cached entries; expired entries that have
 // not been reaped yet are not counted.
 func (c *DecisionCache) Len() int {
-	now := c.now()
+	now := c.clock()
 	var n int
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if !now.After(el.Value.(*cacheEntry).expires) {
+		for j := s.head; j != nilSlot; j = s.slots[j].next {
+			if now <= s.slots[j].expires {
 				n++
 			}
 		}

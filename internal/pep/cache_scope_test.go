@@ -10,7 +10,7 @@ import (
 
 func scopedKey(i int) (string, EntryScope) {
 	res := core.ResourceID(fmt.Sprintf("res-%04d", i))
-	return cacheKey("tok", res, core.ActionRead), EntryScope{Owner: "bob", Realm: "travel", Resource: res}
+	return strKey("tok", res, core.ActionRead), EntryScope{Owner: "bob", Realm: "travel", Resource: res}
 }
 
 // TestDecisionCacheCapacityEviction: the cache is bounded — under capacity
@@ -46,10 +46,10 @@ func TestDecisionCacheLRUOrder(t *testing.T) {
 		t.Fatal("A missing immediately after put")
 	}
 	// Find a key landing in A's shard; inserting it must evict A (cap 1).
-	shardA := c.shardFor(keyA)
+	shardA := c.shardFor(stringKey(keyA))
 	for i := 2; ; i++ {
 		keyB, scB := scopedKey(i)
-		if c.shardFor(keyB) != shardA {
+		if c.shardFor(stringKey(keyB)) != shardA {
 			continue
 		}
 		c.PutScoped(keyB, scB, true, 600)
@@ -121,7 +121,7 @@ func TestDecisionCacheSweep(t *testing.T) {
 func TestDecisionCacheScopedInvalidation(t *testing.T) {
 	c := NewDecisionCache()
 	put := func(owner core.UserID, realm core.RealmID, res core.ResourceID) string {
-		key := cacheKey("tok", res, core.ActionRead)
+		key := strKey("tok", res, core.ActionRead)
 		c.PutScoped(key, EntryScope{Owner: owner, Realm: realm, Resource: res}, true, 600)
 		return key
 	}

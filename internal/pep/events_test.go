@@ -81,9 +81,9 @@ func TestInvalidationStreamEvictsScoped(t *testing.T) {
 	}
 
 	cache := f.enf.Cache()
-	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "diary", core.ActionRead),
+	cache.PutScopedAt(cache.Gen(), strKey("tok", "diary", core.ActionRead),
 		EntryScope{Owner: "bob", Realm: "travel"}, true, 600)
-	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "pics", core.ActionRead),
+	cache.PutScopedAt(cache.Gen(), strKey("tok", "pics", core.ActionRead),
 		EntryScope{Owner: "carol", Realm: "albums"}, true, 600)
 
 	// A PAP mutation scoped to bob's realm must evict bob's entry and leave
@@ -98,7 +98,7 @@ func TestInvalidationStreamEvictsScoped(t *testing.T) {
 	if cache.Len() != 1 {
 		t.Fatalf("cache len = %d, want 1 (only carol's entry)", cache.Len())
 	}
-	if _, ok := cache.Get(cacheKey("tok", "pics", core.ActionRead)); !ok {
+	if _, ok := cache.Get(strKey("tok", "pics", core.ActionRead)); !ok {
 		t.Fatal("unrelated owner's entry was evicted")
 	}
 }
@@ -111,7 +111,7 @@ func TestInvalidationStreamUnscopedDropsAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := f.enf.Cache()
-	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "diary", core.ActionRead),
+	cache.PutScopedAt(cache.Gen(), strKey("tok", "diary", core.ActionRead),
 		EntryScope{Owner: "bob"}, true, 600)
 	f.am.Events().Publish(core.Event{Type: core.EventInvalidation})
 	waitEmpty(t, cache)
@@ -124,7 +124,7 @@ func TestInvalidationStreamUnscopedDropsAll(t *testing.T) {
 func TestInvalidationStreamAppliesEventRightAfterStart(t *testing.T) {
 	f := newStreamFixture(t, "bob")
 	cache := f.enf.Cache()
-	cache.PutScopedAt(cache.Gen(), cacheKey("tok", "diary", core.ActionRead),
+	cache.PutScopedAt(cache.Gen(), strKey("tok", "diary", core.ActionRead),
 		EntryScope{Owner: "bob", Realm: "travel"}, true, 600)
 	if err := f.enf.StartInvalidationStream("bob"); err != nil {
 		t.Fatal(err)

@@ -511,7 +511,7 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 	}
 
 	key := cacheKey(tok, res, action)
-	if decision, ok := e.cache.Get(key); ok {
+	if decision, ok := e.cache.get(key); ok {
 		e.trace(core.PhaseSubsequentAccess, "host:"+string(e.host), "host:"+string(e.host),
 			"enforce-cached", fmt.Sprintf("%s %s=%v", res, action, decision))
 		verdict := VerdictDeny
@@ -546,8 +546,8 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		// Token-problem denials are about the token, not the policy; they
 		// must never be cached no matter what TTL the response claims.
 		if d.CacheTTLSeconds > 0 && !d.TokenProblem {
-			e.cache.PutScopedAt(gen, key, EntryScope{Owner: owner, Realm: realm, Resource: res},
-				d.Permit(), d.CacheTTLSeconds)
+			e.cache.put(key, EntryScope{Owner: owner, Realm: realm, Resource: res},
+				d.Permit(), d.CacheTTLSeconds, gen, true)
 		}
 		return d, nil
 	})
@@ -600,15 +600,16 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 	}
 
 	// First pass: answer from the cache, collect the distinct misses.
-	missIdx := make(map[string][]int) // cache key -> result indexes
+	missIdx := make(map[entryKey][]int) // cache key -> result indexes
 	var items []core.BatchDecisionItem
+	var keys []entryKey // keys[j] is items[j]'s cache key
 	for i, pr := range pairs {
 		key := cacheKey(tok, pr.Resource, pr.Action)
 		if idx, dup := missIdx[key]; dup {
 			missIdx[key] = append(idx, i)
 			continue
 		}
-		if decision, ok := e.cache.Get(key); ok {
+		if decision, ok := e.cache.get(key); ok {
 			verdict := VerdictDeny
 			if decision {
 				verdict = VerdictAllow
@@ -622,6 +623,7 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 			Resource: pr.Resource,
 			Action:   pr.Action,
 		})
+		keys = append(keys, key)
 	}
 	if len(items) == 0 {
 		return results, nil
@@ -652,7 +654,7 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 		}
 		for j, item := range chunk {
 			res := resp.Results[j]
-			key := cacheKey(tok, item.Resource, item.Action)
+			key := keys[start+j]
 			var cr CheckResult
 			switch {
 			case res.Error != "":
@@ -663,8 +665,8 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 				cr = CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL, Reason: res.Reason}
 			default:
 				if res.CacheTTLSeconds > 0 {
-					e.cache.PutScopedAt(gen, key, EntryScope{Owner: owner, Realm: realm, Resource: item.Resource},
-						res.Permit(), res.CacheTTLSeconds)
+					e.cache.put(key, EntryScope{Owner: owner, Realm: realm, Resource: item.Resource},
+						res.Permit(), res.CacheTTLSeconds, gen, true)
 				}
 				verdict := VerdictDeny
 				if res.Permit() {

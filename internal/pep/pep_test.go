@@ -14,7 +14,7 @@ import (
 
 func TestDecisionCacheBasics(t *testing.T) {
 	c := NewDecisionCache()
-	key := cacheKey("tok", "photo-1", core.ActionRead)
+	key := strKey("tok", "photo-1", core.ActionRead)
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -24,7 +24,7 @@ func TestDecisionCacheBasics(t *testing.T) {
 		t.Fatalf("permit=%v ok=%v", permit, ok)
 	}
 	// Deny decisions cache too.
-	key2 := cacheKey("tok", "photo-1", core.ActionWrite)
+	key2 := strKey("tok", "photo-1", core.ActionWrite)
 	c.Put(key2, false, 60)
 	permit, ok = c.Get(key2)
 	if !ok || permit {
@@ -44,7 +44,7 @@ func TestDecisionCacheTTL(t *testing.T) {
 	base := time.Now()
 	now := base
 	c.SetClock(func() time.Time { return now })
-	key := cacheKey("tok", "r", core.ActionRead)
+	key := strKey("tok", "r", core.ActionRead)
 	c.Put(key, true, 10)
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("fresh entry missed")
@@ -57,7 +57,7 @@ func TestDecisionCacheTTL(t *testing.T) {
 
 func TestDecisionCacheZeroTTLNotStored(t *testing.T) {
 	c := NewDecisionCache()
-	key := cacheKey("tok", "r", core.ActionRead)
+	key := strKey("tok", "r", core.ActionRead)
 	c.Put(key, true, 0)
 	c.Put(key, true, -5)
 	if c.Len() != 0 {
@@ -67,8 +67,8 @@ func TestDecisionCacheZeroTTLNotStored(t *testing.T) {
 
 func TestDecisionCacheInvalidate(t *testing.T) {
 	c := NewDecisionCache()
-	c.Put(cacheKey("t", "a", core.ActionRead), true, 60)
-	c.Put(cacheKey("t", "b", core.ActionRead), true, 60)
+	c.Put(strKey("t", "a", core.ActionRead), true, 60)
+	c.Put(strKey("t", "b", core.ActionRead), true, 60)
 	c.Invalidate()
 	if c.Len() != 0 {
 		t.Fatal("entries survived invalidate")
@@ -100,7 +100,7 @@ func TestDecisionCacheConcurrent(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				key := cacheKey("tok", core.ResourceID(rune('a'+n)), core.ActionRead)
+				key := strKey("tok", core.ResourceID(rune('a'+n)), core.ActionRead)
 				c.Put(key, true, 60)
 				c.Get(key)
 			}

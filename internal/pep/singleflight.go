@@ -17,7 +17,7 @@ import (
 // (the stdlib keeps its copy internal), specialised to decision responses.
 type flightGroup struct {
 	mu       sync.Mutex
-	inflight map[string]*flightCall
+	inflight map[entryKey]*flightCall
 }
 
 type flightCall struct {
@@ -28,10 +28,10 @@ type flightCall struct {
 
 // do runs fn once per key among concurrent callers. shared is true for
 // callers that received another caller's result.
-func (g *flightGroup) do(key string, fn func() (core.DecisionResponse, error)) (dec core.DecisionResponse, err error, shared bool) {
+func (g *flightGroup) do(key entryKey, fn func() (core.DecisionResponse, error)) (dec core.DecisionResponse, err error, shared bool) {
 	g.mu.Lock()
 	if g.inflight == nil {
-		g.inflight = make(map[string]*flightCall)
+		g.inflight = make(map[entryKey]*flightCall)
 	}
 	if call, ok := g.inflight[key]; ok {
 		g.mu.Unlock()

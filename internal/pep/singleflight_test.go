@@ -92,16 +92,16 @@ func TestSingleflightDistinctKeysDoNotCollapse(t *testing.T) {
 	var g flightGroup
 	var calls atomic.Int64
 	var wg sync.WaitGroup
-	for _, key := range []string{"a", "b", "c"} {
+	for _, res := range []core.ResourceID{"a", "b", "c"} {
 		wg.Add(1)
-		go func(key string) {
+		go func(key entryKey) {
 			defer wg.Done()
 			g.do(key, func() (core.DecisionResponse, error) {
 				calls.Add(1)
 				time.Sleep(20 * time.Millisecond)
 				return core.DecisionResponse{Decision: "permit"}, nil
 			})
-		}(key)
+		}(cacheKey("tok", res, core.ActionRead))
 	}
 	wg.Wait()
 	if n := calls.Load(); n != 3 {
