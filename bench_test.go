@@ -1113,10 +1113,10 @@ func BenchmarkReplicaDecisionReadScaling(b *testing.B) {
 // --- E16: sharded cluster — aggregate decision+mutation throughput on
 // disjoint owners, one primary versus a two-shard cluster ---
 
-// clusterBenchOwner is one owner's shared sim fixture plus a private
+// clusterBenchOwner is one owner's shared loadgen fixture plus a private
 // write counter.
 type clusterBenchOwner struct {
-	*sim.ClusterOwnerRig
+	*loadgen.OwnerRig
 	seq atomic.Int64
 }
 
@@ -1177,11 +1177,11 @@ func clusterBenchWorld(b *testing.B, shardNames []string) []*clusterBenchOwner {
 			continue
 		}
 		counts[home]++
-		rig, err := sim.SetupClusterOwner(amclient.Config{BaseURL: shards[0].Primary}, owner)
+		rig, err := loadgen.SetupOwner(amclient.Config{BaseURL: shards[0].Primary}, owner)
 		if err != nil {
 			b.Fatal(err)
 		}
-		o := &clusterBenchOwner{ClusterOwnerRig: rig}
+		o := &clusterBenchOwner{OwnerRig: rig}
 		owners = append(owners, o)
 	}
 	return owners
@@ -1297,7 +1297,7 @@ func BenchmarkLoadgenSpawnedDecision(b *testing.B) {
 	}
 	defer rig.Stop()
 	owner := rig.OwnersFor("bench", "shard-a", 1)[0]
-	o, err := sim.SetupClusterOwner(rig.ClientConfig(), owner)
+	o, err := loadgen.SetupOwner(rig.ClientConfig(), owner)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -9,8 +9,9 @@
 //	hostserver -app gallery -addr :8082 -host-id gallery
 //
 // With -state, AM pairings are persisted through a WAL-backed store, so a
-// restarted (or killed) Host keeps its delegation relationships; -fsync
-// extends durability to machine crashes.
+// restarted (or killed) Host keeps its delegation relationships and
+// resubscribes their invalidation streams at startup; -fsync extends
+// durability to machine crashes.
 package main
 
 import (
@@ -22,6 +23,7 @@ import (
 	"umac/internal/apps/gallery"
 	"umac/internal/apps/storage"
 	"umac/internal/core"
+	"umac/internal/pep"
 	kvstore "umac/internal/store"
 )
 
@@ -71,18 +73,25 @@ func main() {
 		}()
 	}
 
-	var handler http.Handler
+	var (
+		handler  http.Handler
+		enforcer *pep.Enforcer
+	)
 	switch *app {
 	case "storage":
 		a := storage.New(storage.Config{HostID: id, PairingStore: st})
-		a.Enforcer.SetBaseURL(base)
-		handler = a.Handler()
+		handler, enforcer = a.Handler(), a.Enforcer
 	case "gallery":
 		a := gallery.New(gallery.Config{HostID: id, PairingStore: st})
-		a.Enforcer.SetBaseURL(base)
-		handler = a.Handler()
+		handler, enforcer = a.Handler(), a.Enforcer
 	default:
 		log.Fatalf("hostserver: unknown app %q (want storage or gallery)", *app)
+	}
+	enforcer.SetBaseURL(base)
+	// Pairings reloaded from -state get their invalidation streams back;
+	// an owner whose AM cannot be reached falls back to the cache TTL.
+	for owner, err := range enforcer.SubscribeAll() {
+		log.Printf("hostserver: invalidation stream for %s unavailable, cache TTL bounds freshness: %v", owner, err)
 	}
 
 	log.Printf("hostserver: %s (%s) listening on %s", *app, id, *addr)

@@ -275,11 +275,16 @@ func New(cfg Config) *AM {
 	return a
 }
 
-// Close stops the follower replication loop (if any), shuts the event
-// broker down (every /v1/events subscriber drains and disconnects), and
-// flushes the asynchronous audit pipeline. The backing store and audit log
-// are the caller's to close (they may be shared).
+// Close stops the embedded rebalance coordinator (if any) as a crash
+// would, leaving its plan to resume on the next start, stops the follower
+// replication loop (if any), shuts the event broker down (every
+// /v1/events subscriber drains and disconnects), and flushes the
+// asynchronous audit pipeline. The backing store and audit log are the
+// caller's to close (they may be shared).
 func (a *AM) Close() error {
+	if a.rebal != nil {
+		a.rebal.Stop()
+	}
 	a.stopReplication()
 	a.broker.Close()
 	a.auditPipe.Close()

@@ -21,6 +21,7 @@ import (
 	"umac/internal/policy"
 	"umac/internal/requester"
 	"umac/internal/sim"
+	"umac/internal/store"
 )
 
 // fixture is a full two-app deployment.
@@ -413,6 +414,77 @@ func TestGalleryRevocationReachesHostImmediately(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden {
 		t.Fatalf("read after revocation = %d, want 403", resp.StatusCode)
+	}
+}
+
+// TestRestartedGalleryResubscribes: a gallery rebuilt over its pairing
+// store gets its reloaded pairings' invalidation streams back through
+// SubscribeAll, so a revocation at the AM evicts the restarted Host's
+// cached permit at once rather than at TTL expiry.
+func TestRestartedGalleryResubscribes(t *testing.T) {
+	w := sim.NewWorld()
+	t.Cleanup(w.Close)
+	pairings := store.New()
+
+	first := gallery.New(gallery.Config{HostID: "gallery", PairingStore: pairings})
+	firstSrv := httptest.NewServer(first.Handler())
+	first.Enforcer.SetBaseURL(firstSrv.URL)
+	if err := sim.NewUserAgent("bob").PairEnforcer(first.Enforcer, w.AMServer.URL); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Enforcer.Protect("bob", "holiday", nil, ""); err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+	firstSrv.Close()
+
+	g := gallery.New(gallery.Config{HostID: "gallery", PairingStore: pairings})
+	srv := httptest.NewServer(g.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { g.Close() })
+	g.Enforcer.SetBaseURL(srv.URL)
+	if failed := g.Enforcer.SubscribeAll(); len(failed) != 0 {
+		t.Fatalf("resubscribe failed: %v", failed)
+	}
+	if err := g.AddPhoto("bob", "holiday", "sunset.png", pngBytes(t)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.AM.CreatePolicy("bob", policy.Policy{
+		Owner: "bob", Kind: policy.KindGeneral,
+		Rules: []policy.Rule{{
+			Effect:   policy.EffectPermit,
+			Subjects: []policy.Subject{{Type: policy.SubjectUser, Name: "alice"}},
+			Actions:  []core.Action{core.ActionRead},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := g.Enforcer.Cache()
+	gen := cache.Gen()
+	if err := w.AM.LinkGeneral("bob", "holiday", p.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AwaitInvalidation(cache, gen); err != nil {
+		t.Fatal(err)
+	}
+
+	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
+	if _, err := alice.Fetch(gallery.PhotoURL(srv.URL, "bob", "holiday", "sunset.png"), core.ActionRead); err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache len = %d, want the permit cached", n)
+	}
+	gen = cache.Gen()
+	if err := w.AM.DeletePolicy("bob", p.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.AwaitInvalidation(cache, gen); err != nil {
+		t.Fatal(err)
+	}
+	if n := cache.Len(); n != 0 {
+		t.Fatalf("cache len = %d after revocation, want the permit evicted", n)
 	}
 }
 

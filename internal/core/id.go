@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/base64"
 	"encoding/hex"
+	"errors"
 	"fmt"
 )
 
@@ -28,4 +29,22 @@ func NewSecret(n int) string {
 		panic(fmt.Sprintf("core: crypto/rand unavailable: %v", err))
 	}
 	return base64.RawURLEncoding.EncodeToString(b)
+}
+
+// segmentEncoding is unpadded base64url that rejects non-zero unused bits
+// in the final character.
+var segmentEncoding = base64.RawURLEncoding.Strict()
+
+// DecodeSegment decodes one unpadded base64url segment of a signed
+// artefact — a token, an identity assertion, a request signature —
+// accepting only its canonical spelling, so two distinct strings never
+// decode to the same bytes. Strict decoding rejects stray low bits in the
+// last character; the length check rejects the CR and LF characters the
+// decoder would otherwise skip.
+func DecodeSegment(s string) ([]byte, error) {
+	b, err := segmentEncoding.DecodeString(s)
+	if err == nil && segmentEncoding.EncodedLen(len(b)) != len(s) {
+		err = errors.New("core: base64 segment carries line breaks")
+	}
+	return b, err
 }

@@ -163,7 +163,7 @@ func (v *Verifier) Verify(req *http.Request) (pairingID string, err error) {
 	}
 	h := sha256.Sum256(body)
 	want := mac(secret, canonical(req.Method, req.URL.Path, h[:], ts, nonce))
-	got, err := base64.RawURLEncoding.DecodeString(sigB64)
+	got, err := core.DecodeSegment(sigB64)
 	if err != nil || !hmac.Equal(got, want) {
 		return "", ErrBadSignature
 	}

@@ -113,11 +113,11 @@ func (p *Provider) VerifyAssertion(a string) (core.UserID, error) {
 	if dot < 0 {
 		return "", fmt.Errorf("identity: malformed assertion")
 	}
-	payload, err := base64.RawURLEncoding.DecodeString(a[:dot])
+	payload, err := core.DecodeSegment(a[:dot])
 	if err != nil {
 		return "", fmt.Errorf("identity: bad assertion payload")
 	}
-	sig, err := base64.RawURLEncoding.DecodeString(a[dot+1:])
+	sig, err := core.DecodeSegment(a[dot+1:])
 	if err != nil || !hmac.Equal(sig, p.sign(payload)) {
 		return "", fmt.Errorf("identity: assertion signature mismatch")
 	}

@@ -14,7 +14,6 @@ import (
 	"umac/internal/amclient"
 	"umac/internal/core"
 	"umac/internal/policy"
-	"umac/internal/sim"
 )
 
 // The abusive-tenant isolation drill. One tenant (the abuser) floods the
@@ -75,7 +74,7 @@ func isRateLimited(err error) bool {
 
 // abuserClients builds shard-routed clients for the abuser with 429
 // retries disabled: the flood must SEE its throttles, not absorb them.
-func abuserClients(rig *Rig, or *sim.ClusterOwnerRig) (decider, manager *amclient.ClusterClient, err error) {
+func abuserClients(rig *Rig, or *OwnerRig) (decider, manager *amclient.ClusterClient, err error) {
 	seed := rig.ClientConfig()
 	seed.Retry429 = -1
 	decCfg := seed

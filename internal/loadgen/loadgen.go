@@ -1,8 +1,11 @@
-// Package loadgen is the scenario-diverse load harness: it spawns real
-// amserver binaries (not in-process handlers), fronts every node with a
-// fault-injection proxy, and drives UMA protocol traffic through the
-// shard-aware typed client — the same SDK production callers use. Each
-// scenario stresses a different axis of the paper's AM design:
+// Package loadgen is the scenario-diverse load harness: it starts a small
+// sharded amserver cluster, fronts every node with a fault-injection
+// proxy, and drives UMA protocol traffic through the shard-aware typed
+// client — the same SDK production callers use. Every scenario runs on
+// two rigs (see rig.go): spawned amserver processes killed with a real
+// SIGKILL, or the same nodes booted inside the calling process by
+// internal/amserver from the same argument lists. Each scenario stresses
+// a different axis of the paper's AM design:
 //
 //   - zipf_hot_owner: Zipf-distributed owner popularity — a handful of
 //     hot owners absorb most of the decision traffic while writes trickle
@@ -13,19 +16,23 @@
 //   - delegation_chain: custodian delegation chains — each owner appoints
 //     the next as custodian, custodians write policies for their wards
 //     cross-shard, and the chain is walked with decision queries.
-//   - kill_migration: a hard SIGKILL of a shard primary in the middle of
-//     a live owner migration, recovery from the WAL, a migration retry,
-//     and a zero-acknowledged-write-loss audit afterwards.
+//   - kill_migration: a hard kill of a shard primary in the middle of a
+//     live owner migration; the follower answers every decision and no
+//     write is acknowledged while it is down; recovery from the WAL, the
+//     follower converging on the restarted primary, a migration retry
+//     under load on the moving owner, and a zero-acknowledged-write-loss
+//     audit afterwards.
 //   - consent_storm: consent-gated token requests with subscribers on the
 //     GET /v1/events/consent stream — resolution→notification latency
 //     measured over the stream and over the TokenStatus poll loop, under
 //     concurrent policy-write churn, with lost notifications counted as
 //     Lost.
 //   - ring_double: the ring grows from two shards to four through the
-//     bulk-rebalance coordinator under sustained Zipf load, with SIGKILLs
-//     of a migrating shard primary AND of the coordinator host mid-plan —
-//     the resumed plan must finish unchanged, with zero acknowledged loss
-//     and a bounded under-rebalance p99.
+//     bulk-rebalance coordinator under sustained Zipf load; the plan is
+//     aborted mid-way and re-posted, then a migrating shard primary AND
+//     the coordinator host are killed mid-plan — the resumed plan must
+//     finish unchanged, with zero acknowledged loss and a bounded
+//     under-rebalance p99.
 //   - kill_rebalance: shard-b is drained to extinction through the same
 //     coordinator under the same two kills; afterwards the final ring
 //     (shard-b gone) must be in force everywhere and the drained node
@@ -45,8 +52,9 @@
 // migration stack promises.
 //
 // The harness runs from `go test ./internal/loadgen` (small smoke
-// instances, CI's loadgen-smoke job) and from `cmd/loadgen` (full-size
-// runs that regenerate BENCH_E17.json).
+// instances on both rigs: subtests inproc and spawned) and from
+// `cmd/loadgen` (full-size runs on spawned processes that regenerate
+// BENCH_E17.json).
 package loadgen
 
 import (
@@ -78,8 +86,7 @@ func FullOptions() Options { return Options{Owners: 8, Ops: 400, Seed: 1} }
 
 // Scenario drives one workload against a running rig and reports its
 // per-phase measurements. Scenarios own their fault schedule (latency
-// shims, partitions, kills) but must leave the rig's processes running —
-// except kill_migration, which restarts what it kills.
+// shims, partitions, kills) and restart every node they kill.
 type Scenario func(ctx context.Context, rig *Rig, opts Options) (*Recorder, error)
 
 // Scenarios is the registry, keyed by the scenario name that prefixes its

@@ -2,50 +2,72 @@ package loadgen
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"umac/internal/amclient"
-	"umac/internal/sim"
 )
 
-// The TestLoadgen* tests are the scenario smokes: each spawns a real
-// 3-process amserver cluster (built once in TestMain), runs one scenario
-// at CI size, asserts zero acknowledged-write loss, and — when
-// LOADGEN_OUT_DIR is set (the CI loadgen-smoke job) — writes the
-// scenario's benchjson records there for the artifact upload and the
-// schema diff against the committed BENCH_E17.json.
+// The TestLoadgen* tests are the scenario smokes: each runs one scenario
+// at CI size on a fresh 3-node cluster and asserts zero acknowledged-write
+// loss, twice — subtest inproc on in-process nodes (the server code under
+// this test binary's race detector), subtest spawned on real amserver
+// processes (built on first use; skipped under -short). Only spawned runs
+// write records: when LOADGEN_OUT_DIR is set (the CI loadgen-smoke job)
+// each scenario's records land there for the artifact upload and the
+// schema diff against the committed BENCH_E*.json files.
 
-// testBinary is the amserver binary shared by every test in the package.
-var testBinary string
+var (
+	buildOnce  sync.Once
+	binDir     string
+	testBinary string
+	buildErr   error
+)
 
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "loadgen-bin-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-	testBinary, err = BuildServer(context.Background(), dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.RemoveAll(dir)
-		os.Exit(1)
-	}
 	code := m.Run()
-	os.RemoveAll(dir)
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
 	os.Exit(code)
 }
 
-// startRig spawns a fresh cluster for one test and tears it down after.
+// serverBinary builds amserver once per test binary, on first use.
+func serverBinary(t *testing.T) string {
+	t.Helper()
+	buildOnce.Do(func() {
+		if binDir, buildErr = os.MkdirTemp("", "loadgen-bin-"); buildErr == nil {
+			testBinary, buildErr = BuildServer(context.Background(), binDir)
+		}
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	return testBinary
+}
+
+// onBothRigs runs body as subtest inproc (binary "") and subtest spawned
+// (binary = the built amserver).
+func onBothRigs(t *testing.T, body func(t *testing.T, binary string)) {
+	t.Run("inproc", func(t *testing.T) { body(t, "") })
+	t.Run("spawned", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns real server processes")
+		}
+		body(t, serverBinary(t))
+	})
+}
+
+// startRig starts a fresh cluster for one subtest and tears it down after.
 // extraArgs reach every node's flag list (ScenarioExtraArgs).
-func startRig(t *testing.T, extraArgs ...string) *Rig {
+func startRig(t *testing.T, binary string, extraArgs ...string) *Rig {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(t.Context(), 30*time.Second)
 	defer cancel()
-	rig, err := StartCluster(ctx, testBinary, t.TempDir(), t.Logf, extraArgs...)
+	rig, err := StartCluster(ctx, binary, t.TempDir(), t.Logf, extraArgs...)
 	if err != nil {
 		t.Fatalf("start cluster: %v", err)
 	}
@@ -55,48 +77,47 @@ func startRig(t *testing.T, extraArgs ...string) *Rig {
 
 // runScenarioSmoke is the shared body of the scenario smokes.
 func runScenarioSmoke(t *testing.T, name string) {
-	if testing.Short() {
-		t.Skip("loadgen scenarios spawn real server processes")
-	}
 	sc, ok := Scenarios[name]
 	if !ok {
 		t.Fatalf("scenario %q not registered", name)
 	}
-	ctx, cancel := context.WithTimeout(t.Context(), 4*time.Minute)
-	defer cancel()
-	rig := startRig(t, ScenarioExtraArgs(name)...)
+	onBothRigs(t, func(t *testing.T, binary string) {
+		ctx, cancel := context.WithTimeout(t.Context(), 4*time.Minute)
+		defer cancel()
+		rig := startRig(t, binary, ScenarioExtraArgs(name)...)
 
-	rec, err := sc(ctx, rig, SmokeOptions())
-	if err != nil {
-		t.Fatalf("scenario %s: %v", name, err)
-	}
-	if lost := rec.TotalLost(); lost != 0 {
-		t.Fatalf("scenario %s lost %d acknowledged writes", name, lost)
-	}
-	recs := rec.Records()
-	if len(recs) < 3 {
-		t.Fatalf("scenario %s emitted only %d records; expected per-phase coverage", name, len(recs))
-	}
-	for _, r := range recs {
-		if r.N <= 0 {
-			t.Errorf("record %s ran zero ops", r.Name)
+		rec, err := sc(ctx, rig, SmokeOptions())
+		if err != nil {
+			t.Fatalf("scenario %s: %v", name, err)
 		}
-		if r.P50Ns > r.P99Ns {
-			t.Errorf("record %s: p50 %d > p99 %d", r.Name, r.P50Ns, r.P99Ns)
+		if lost := rec.TotalLost(); lost != 0 {
+			t.Fatalf("scenario %s lost %d acknowledged writes", name, lost)
 		}
-		if r.OpsPerSec <= 0 {
-			t.Errorf("record %s reports no throughput", r.Name)
+		recs := rec.Records()
+		if len(recs) < 3 {
+			t.Fatalf("scenario %s emitted only %d records; expected per-phase coverage", name, len(recs))
 		}
-		t.Logf("%s: n=%d p50=%s p99=%s %.1f ops/s errs=%d",
-			r.Name, r.N, time.Duration(r.P50Ns), time.Duration(r.P99Ns), r.OpsPerSec, r.Errors)
-	}
-	if dir := os.Getenv("LOADGEN_OUT_DIR"); dir != "" {
-		path := filepath.Join(dir, name+".json")
-		if err := WriteRecords(path, recs); err != nil {
-			t.Fatalf("write records: %v", err)
+		for _, r := range recs {
+			if r.N <= 0 {
+				t.Errorf("record %s ran zero ops", r.Name)
+			}
+			if r.P50Ns > r.P99Ns {
+				t.Errorf("record %s: p50 %d > p99 %d", r.Name, r.P50Ns, r.P99Ns)
+			}
+			if r.OpsPerSec <= 0 {
+				t.Errorf("record %s reports no throughput", r.Name)
+			}
+			t.Logf("%s: n=%d p50=%s p99=%s %.1f ops/s errs=%d",
+				r.Name, r.N, time.Duration(r.P50Ns), time.Duration(r.P99Ns), r.OpsPerSec, r.Errors)
 		}
-		t.Logf("records written to %s", path)
-	}
+		if dir := os.Getenv("LOADGEN_OUT_DIR"); dir != "" && binary != "" {
+			path := filepath.Join(dir, name+".json")
+			if err := WriteRecords(path, recs); err != nil {
+				t.Fatalf("write records: %v", err)
+			}
+			t.Logf("records written to %s", path)
+		}
+	})
 }
 
 func TestLoadgenZipfHotOwner(t *testing.T)    { runScenarioSmoke(t, "zipf_hot_owner") }
@@ -109,21 +130,20 @@ func TestLoadgenKillRebalance(t *testing.T)   { runScenarioSmoke(t, "kill_rebala
 func TestLoadgenAbusiveTenant(t *testing.T)   { runScenarioSmoke(t, "abusive_tenant") }
 
 // TestLoadgenAuditPagination drives >1000 audited operations for one
-// owner against the spawned cluster, then walks the audit log with the
+// owner against the cluster on both rigs, then walks the audit log with the
 // X-Next-Offset pagination frame and asserts the walk covers the full
 // set exactly once — no duplicates, no gaps, and a final offset of -1.
 // Regression guard for the PR 3 off-by-page offset bug, now under real
 // HTTP and real load.
-func TestLoadgenAuditPagination(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loadgen scenarios spawn real server processes")
-	}
+func TestLoadgenAuditPagination(t *testing.T) { onBothRigs(t, auditPagination) }
+
+func auditPagination(t *testing.T, binary string) {
 	ctx, cancel := context.WithTimeout(t.Context(), 4*time.Minute)
 	defer cancel()
-	rig := startRig(t)
+	rig := startRig(t, binary)
 
 	owner := rig.OwnersFor("pager", "shard-a", 1)[0]
-	or, err := sim.SetupClusterOwner(rig.ClientConfig(), owner)
+	or, err := SetupOwner(rig.ClientConfig(), owner)
 	if err != nil {
 		t.Fatalf("setup owner: %v", err)
 	}

@@ -58,7 +58,10 @@ type PhaseRec struct {
 }
 
 // Phase starts (and registers) a new phase. Call End when its load loop
-// finishes; phases must not overlap.
+// finishes. Phases follow one another, except that a load loop may run
+// beside the operation it loads (abusive_tenant's flood, kill_migration's
+// migrate_load); register both phases before starting the second
+// goroutine, and let each phase take ops from one goroutine only.
 func (r *Recorder) Phase(name string) *PhaseRec {
 	ph := &PhaseRec{Name: name, start: time.Now()}
 	r.phases = append(r.phases, ph)

@@ -7,7 +7,6 @@ import (
 
 	"umac/internal/cluster"
 	"umac/internal/core"
-	"umac/internal/sim"
 )
 
 // This file holds the bulk-rebalance fault drills: ring_double grows the
@@ -28,7 +27,7 @@ const rebalanceRate = 2.0
 // the owner rigs until stop closes (or, with stop nil, for ops
 // iterations). Errors are tallied, not fatal — kill windows legitimately
 // refuse writes — and only acknowledged writes enter the audit set.
-func mixedLoad(ctx context.Context, rec *Recorder, phase string, rigs map[core.UserID]*sim.ClusterOwnerRig, owners []core.UserID, ops int, stop <-chan struct{}, acked *[]ackedWrite) error {
+func mixedLoad(ctx context.Context, rec *Recorder, phase string, rigs map[core.UserID]*OwnerRig, owners []core.UserID, ops int, stop <-chan struct{}, acked *[]ackedWrite) error {
 	ph := rec.Phase(phase)
 	defer ph.End()
 	for i := 0; stop != nil || i < ops; i++ {
@@ -94,6 +93,62 @@ func bounceNode(ctx context.Context, rig *Rig, name string, down time.Duration) 
 	return nil
 }
 
+// abortAndReplan lets the running plan complete one move, aborts it with
+// DELETE /v1/rebalance, and requires the abort to land mid-plan with every
+// seeded owner effectively on exactly one of the four shards. It then
+// re-posts target and requires the new plan to cover exactly the moves
+// the aborted one had left, returning its status.
+func abortAndReplan(ctx context.Context, rig *Rig, owners []core.UserID, target core.RingState) (core.RebalanceStatus, error) {
+	coord := rig.AdminClient("a-primary")
+	st, err := awaitMoves(ctx, rig, 1)
+	if err != nil {
+		return st, err
+	}
+	if _, err := coord.RebalanceAbort(); err != nil {
+		return st, phaseErr("abort", err)
+	}
+	for {
+		if err := checkCtx(ctx, "abort"); err != nil {
+			return st, err
+		}
+		if st, err = coord.RebalanceStatus(); err != nil {
+			return st, phaseErr("abort", err)
+		}
+		if st.State != core.RebalanceRunning {
+			break
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if st.State != core.RebalanceAborted || st.Done >= st.Total {
+		return st, fmt.Errorf("loadgen: abort landed as %q after %d/%d moves, not mid-plan", st.State, st.Done, st.Total)
+	}
+	placed := make(map[core.UserID]int)
+	for _, name := range []string{"a-primary", "b-primary", "shard-c-primary", "shard-d-primary"} {
+		stats, err := rig.AdminClient(name).OwnerStats()
+		if err != nil {
+			return st, phaseErr("abort", err)
+		}
+		for _, o := range stats.Owners {
+			placed[o.Owner]++
+		}
+	}
+	for _, owner := range owners {
+		if placed[owner] != 1 {
+			return st, fmt.Errorf("loadgen: owner %s effectively on %d shards after the abort, want exactly 1", owner, placed[owner])
+		}
+	}
+	left := st.Total - st.Done
+	re, err := startRebalance(rig, target)
+	if err != nil {
+		return re, phaseErr("replan", err)
+	}
+	if re.Total != left {
+		return re, fmt.Errorf("loadgen: re-posted plan has %d moves, the aborted one left %d", re.Total, left)
+	}
+	rig.Logf("loadgen: rebalance aborted after %d/%d moves; re-posted plan %s covers the %d left", st.Done, st.Total, re.ID, re.Total)
+	return re, nil
+}
+
 // guardTail enforces the rebalance latency contract: the stressed
 // phase's p99 must stay within factor times the clean phase's p99, with
 // an absolute floor absorbing scheduler noise on tiny CI containers.
@@ -131,11 +186,12 @@ func startRebalance(rig *Rig, target core.RingState) (core.RebalanceStatus, erro
 
 // RingDouble doubles the ring — two fresh shards join, the coordinator
 // plans and executes the bulk migration — under sustained Zipf-spread
-// load, with a SIGKILL of a migrating shard primary AND of the
-// coordinator host mid-plan. The resumed plan must be the same plan
-// (same ID, same move total), finish every move, leave every node on the
-// grown ring with no overrides, lose nothing acknowledged, and keep the
-// under-rebalance p99 within bounds of the clean phase.
+// load. The plan is aborted mid-way and re-posted, then a migrating shard
+// primary AND the coordinator host are killed mid-plan. The resumed plan
+// must be the re-posted plan (same ID, same move total), finish every
+// move, leave every node on the grown ring with no overrides, lose
+// nothing acknowledged, and keep the under-rebalance p99 within bounds of
+// the clean phase.
 func RingDouble(ctx context.Context, rig *Rig, opts Options) (*Recorder, error) {
 	rec := &Recorder{Scenario: "ring_double"}
 	// Ring placement hashes shard NAMES, so the grown ring's layout is
@@ -236,6 +292,13 @@ func RingDouble(ctx context.Context, rig *Rig, opts Options) (*Recorder, error) 
 		finish()
 		return rec, fmt.Errorf("loadgen: %d moves planned, but %d seeded owners remap onto the new shards", planTotal, movers)
 	}
+	// The operator's stop and restart: abort mid-plan, then re-post the
+	// same target. The kill windows below run on the re-posted plan.
+	if st, err = abortAndReplan(ctx, rig, owners, target); err != nil {
+		finish()
+		return rec, err
+	}
+	planID, planTotal = st.ID, st.Total
 
 	// Kill window 1: a migrating source primary dies after the first move
 	// lands. The coordinator's per-move retry absorbs the outage.

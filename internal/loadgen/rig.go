@@ -12,20 +12,28 @@ import (
 	"time"
 
 	"umac/internal/amclient"
+	"umac/internal/amserver"
 	"umac/internal/cluster"
 	"umac/internal/core"
 )
 
-// This file is the process side of the harness: it builds the real
-// amserver binary, spawns a small sharded cluster of it (shard-a: durable
-// primary + in-memory follower; shard-b: durable primary), fronts every
-// node with a FaultProxy, and knows how to SIGKILL and restart nodes so
-// scenarios can reuse the PR 4/5 kill drills against real processes. The
-// in-process sim (internal/sim) proves the same properties faster; this
-// rig proves them with nothing shared but TCP.
+// This file is the cluster side of the harness: it starts a small sharded
+// cluster of amserver nodes (shard-a: durable primary + in-memory
+// follower; shard-b: durable primary), fronts every node with a
+// FaultProxy, and knows how to kill and restart nodes. It has two
+// backends, chosen by whether StartCluster gets a binary path:
+//
+//   - spawned: every node is a real amserver process and a kill is a real
+//     SIGKILL, so nothing is shared but TCP;
+//   - in-process: every node runs inside the calling process, booted by
+//     internal/amserver from the same argument list the binary would get,
+//     so the server code runs under the caller's race detector.
+//
+// Scenarios cannot tell the two apart: they see the same topology, the
+// same proxies and the same node names either way.
 
 // rigSecret and rigTokenKey are the deployment-wide shared secrets every
-// spawned node receives via secret files.
+// node receives via secret files.
 const (
 	rigSecret   = "loadgen-repl-secret"
 	rigTokenKey = "loadgen-shared-token-key-0123456"
@@ -34,7 +42,8 @@ const (
 // rigHost is the paired Host every scenario speaks for.
 const rigHost core.HostID = "webpics"
 
-// Node is one spawned amserver process plus its client-facing fault shim.
+// Node is one amserver node (a process or an in-process server) plus its
+// client-facing fault shim.
 type Node struct {
 	// Name keys the node in Rig.Nodes ("a-primary", "a-follower",
 	// "b-primary"); Shard and Role mirror the flags it was started with.
@@ -54,15 +63,16 @@ type Node struct {
 	args    []string
 	logPath string
 
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-	done chan struct{} // closed once the current process is reaped
+	mu     sync.Mutex
+	cmd    *exec.Cmd      // spawned backend
+	server *amserver.Node // in-process backend
+	done   chan struct{}  // closed once the current process is reaped or server stops
 }
 
-// Rig is a running cluster of spawned amserver binaries.
+// Rig is a running cluster of amserver nodes.
 type Rig struct {
 	// Dir holds state files, logs and secret files; Binary is the built
-	// amserver.
+	// amserver, or "" when the nodes run in-process.
 	Dir    string
 	Binary string
 	// RingSpec is the -ring value every node was started with (proxy
@@ -109,12 +119,14 @@ func freeAddr() (string, error) {
 	return addr, nil
 }
 
-// StartCluster spawns the standard scenario topology — shard-a with a
+// StartCluster starts the standard scenario topology — shard-a with a
 // durable primary and an in-memory follower, shard-b with a durable
 // primary — every node fronted by a FaultProxy and registered in the ring
-// by its proxy URL. It blocks until every node answers /v1/readyz.
-// extraArgs are appended to every node's flag list; scenarios use them to
-// start the cluster with non-default server config (ScenarioExtraArgs).
+// by its proxy URL. With a binary path the nodes are spawned processes of
+// it; with "" they run in-process. It blocks until every node answers
+// /v1/readyz. extraArgs are appended to every node's flag list; scenarios
+// use them to start the cluster with non-default server config
+// (ScenarioExtraArgs).
 func StartCluster(ctx context.Context, binary, dir string, logf func(string, ...any), extraArgs ...string) (*Rig, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -264,9 +276,12 @@ func (r *Rig) SpawnShard(ctx context.Context, shard, baseSpec string) (*Node, er
 	return n, nil
 }
 
-// start launches (or relaunches) a node's process, appending its output
-// to the node log.
+// start launches (or relaunches) a node: a process appending its output
+// to the node log, or an in-process server on the node's address.
 func (r *Rig) start(n *Node) error {
+	if r.Binary == "" {
+		return r.startInProcess(n)
+	}
 	logf, err := os.OpenFile(n.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -291,27 +306,63 @@ func (r *Rig) start(n *Node) error {
 	return nil
 }
 
-// Kill SIGKILLs the node's process and waits for it to die — no drain, no
-// snapshot; only what the WAL persisted before the kill survives.
+// startInProcess boots the node inside this process through the same
+// Parse and Open amserver's main runs, from the node's argument list.
+func (r *Rig) startInProcess(n *Node) error {
+	cfg, err := amserver.Parse(n.args)
+	if err != nil {
+		return fmt.Errorf("loadgen: %s: %w", n.Name, err)
+	}
+	server, err := amserver.Open(cfg)
+	if err != nil {
+		return fmt.Errorf("loadgen: start %s: %w", n.Name, err)
+	}
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err != nil {
+		server.Kill()
+		return fmt.Errorf("loadgen: start %s: %w", n.Name, err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := server.Serve(ln); err != nil {
+			r.Logf("loadgen: %s: %v", n.Name, err)
+		}
+	}()
+	n.mu.Lock()
+	n.server, n.done = server, done
+	n.mu.Unlock()
+	r.Logf("loadgen: %s up (in-process, %s)", n.Name, n.Addr)
+	return nil
+}
+
+// Kill stops the node with no drain and no snapshot — a SIGKILL of its
+// process, or amserver.Node.Kill in-process — and waits until it is gone.
+// Only what the WAL persisted before the kill survives.
 func (n *Node) Kill() {
 	n.mu.Lock()
-	cmd, done := n.cmd, n.done
-	n.cmd, n.done = nil, nil
+	cmd, server, done := n.cmd, n.server, n.done
+	n.cmd, n.server, n.done = nil, nil, nil
 	n.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
+	switch {
+	case server != nil:
+		server.Kill()
+	case cmd != nil && cmd.Process != nil:
+		cmd.Process.Kill()
+	default:
 		return
 	}
-	cmd.Process.Kill()
-	// The start goroutine reaps the process; wait for it so a restart
-	// never races the dying process's listener.
+	// Wait for the reaper (or the serve loop) so a restart never races
+	// the dying node's listener.
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
 	}
 }
 
-// Restart respawns a previously killed node with its original arguments
-// (recovering durable state from snapshot + WAL) and waits for readiness.
+// Restart starts a previously killed node again from its original
+// arguments, on the same address (recovering durable state from snapshot
+// + WAL), and waits for readiness.
 func (r *Rig) Restart(ctx context.Context, name string) error {
 	n, ok := r.Nodes[name]
 	if !ok {

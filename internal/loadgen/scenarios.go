@@ -9,7 +9,6 @@ import (
 	"umac/internal/amclient"
 	"umac/internal/core"
 	"umac/internal/policy"
-	"umac/internal/sim"
 )
 
 // ackedWrite is one policy write a scenario saw acknowledged; the verify
@@ -22,16 +21,16 @@ type ackedWrite struct {
 // setupOwners provisions each owner's full protocol fixture (pairing,
 // realm, permit policy, token, shard-routed clients) over the proxied
 // HTTP surface, timing each as one op of the given phase.
-func setupOwners(ctx context.Context, rig *Rig, rec *Recorder, phase string, owners []core.UserID) (map[core.UserID]*sim.ClusterOwnerRig, error) {
+func setupOwners(ctx context.Context, rig *Rig, rec *Recorder, phase string, owners []core.UserID) (map[core.UserID]*OwnerRig, error) {
 	ph := rec.Phase(phase)
 	defer ph.End()
-	rigs := make(map[core.UserID]*sim.ClusterOwnerRig, len(owners))
+	rigs := make(map[core.UserID]*OwnerRig, len(owners))
 	for _, owner := range owners {
 		if err := checkCtx(ctx, phase); err != nil {
 			return nil, err
 		}
 		err := ph.Op(func() error {
-			r, err := sim.SetupClusterOwner(rig.ClientConfig(), owner)
+			r, err := SetupOwner(rig.ClientConfig(), owner)
 			if err != nil {
 				return err
 			}
@@ -143,13 +142,13 @@ func ZipfHotOwner(ctx context.Context, rig *Rig, opts Options) (*Recorder, error
 func PairingChurn(ctx context.Context, rig *Rig, opts Options) (*Recorder, error) {
 	rec := &Recorder{Scenario: "pairing_churn"}
 	var acked []ackedWrite
-	rigs := make(map[core.UserID]*sim.ClusterOwnerRig)
+	rigs := make(map[core.UserID]*OwnerRig)
 
 	cycle := func(ph *PhaseRec, i int) error {
 		owner := core.UserID(fmt.Sprintf("churn-%d", i))
-		var or *sim.ClusterOwnerRig
+		var or *OwnerRig
 		if err := ph.Op(func() error {
-			r, err := sim.SetupClusterOwner(rig.ClientConfig(), owner)
+			r, err := SetupOwner(rig.ClientConfig(), owner)
 			or = r
 			return err
 		}); err != nil {
@@ -308,12 +307,14 @@ func DelegationChain(ctx context.Context, rig *Rig, opts Options) (*Recorder, er
 	})
 }
 
-// KillMigration SIGKILLs shard-a's primary in the middle of a live owner
+// KillMigration kills shard-a's primary in the middle of a live owner
 // migration (right after the snapshot import, before cutover), keeps
-// decision traffic flowing through shard-a's follower, restarts the
-// primary from its WAL, retries the migration to completion, and audits
-// the full acknowledged-write set across both shards. The losing shard
-// must answer wrong_shard for the migrated owner afterwards.
+// decision traffic flowing through shard-a's follower while no write is
+// acknowledged, restarts the primary from its WAL, checks that the
+// follower converges on it, retries the migration to completion under
+// load on the moving owner, and audits the full acknowledged-write set
+// across both shards. The losing shard must answer wrong_shard for the
+// migrated owner afterwards.
 func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, error) {
 	rec := &Recorder{Scenario: "kill_migration"}
 	mover := rig.OwnersFor("mover", "shard-a", 1)[0]
@@ -324,9 +325,10 @@ func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, erro
 	}
 
 	var acked []ackedWrite
-	load := func(phase string, ops int, write bool) error {
-		ph := rec.Phase(phase)
-		defer ph.End()
+	// drive runs ops of the scenario's mix in ph: mover and stay in turn,
+	// every third op a write when write is set.
+	drive := func(ph *PhaseRec, ops int, write bool) error {
+		phase := ph.Name
 		for i := 0; i < ops; i++ {
 			if err := checkCtx(ctx, phase); err != nil {
 				return err
@@ -353,6 +355,11 @@ func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, erro
 		}
 		return nil
 	}
+	load := func(phase string, ops int, write bool) error {
+		ph := rec.Phase(phase)
+		defer ph.End()
+		return drive(ph, ops, write)
+	}
 	if err := load("pre_kill_load", opts.Ops, true); err != nil {
 		return rec, err
 	}
@@ -374,8 +381,19 @@ func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, erro
 	rig.Logf("loadgen: migrate(1) failed as expected: %v", err)
 
 	// Decisions must keep flowing with the primary dead — shard-a's
-	// follower serves them behind the same proxy-listed endpoints.
-	if err := load("killed_decisions", opts.Ops/2, false); err != nil {
+	// follower serves them behind the same proxy-listed endpoints — while
+	// a write must fail: the follower refuses it and shard-a has no other
+	// node to take it.
+	killed := rec.Phase("killed_decisions")
+	err = drive(killed, opts.Ops/2, false)
+	if err == nil && killed.Op(func() error {
+		_, werr := rigs[stay].WritePolicy(-1)
+		return werr
+	}) == nil {
+		err = errors.New("loadgen: a write was acknowledged with shard-a's primary dead")
+	}
+	killed.End()
+	if err != nil {
 		return rec, err
 	}
 
@@ -394,10 +412,63 @@ func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, erro
 		return rec, err
 	}
 
-	// Migration attempt 2: same drill, healthy source — must complete.
-	// The snapshot import repeats records attempt 1 already shipped; the
-	// import path is idempotent by design.
+	// The follower reconnects to the restarted primary on its own and
+	// must converge on it: every write acknowledged so far (all of them
+	// shard-a writes) reads back from the follower's real URL.
+	if err := awaitFollower(ctx, rig, "a-primary", "a-follower"); err != nil {
+		return rec, phaseErr("verify_follower", err)
+	}
+	if err := verifyAcked(ctx, rec, "verify_follower", acked, func(w ackedWrite) error {
+		_, err := amclient.New(amclient.Config{BaseURL: rig.Nodes["a-follower"].URL, User: w.owner}).GetPolicy(w.id)
+		return err
+	}); err != nil {
+		return rec, err
+	}
+
+	// Migration attempt 2: same drill, healthy source — must complete
+	// while the mover's own load keeps flowing (phase migrate_load). Its
+	// decisions chase the cutover to shard-b and none may fail; a write
+	// may be refused mid-cutover, but every acknowledged one joins the
+	// audit. The snapshot import repeats records attempt 1 already
+	// shipped; the import path is idempotent by design.
 	retry := rec.Phase("migrate_retry")
+	moverLoad := rec.Phase("migrate_load")
+	started, stop := make(chan struct{}), make(chan struct{})
+	failed := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { failed <- n }()
+		or := rigs[mover]
+		for i := 0; ; i++ {
+			if i%3 == 0 {
+				var id core.PolicyID
+				if moverLoad.Op(func() error {
+					var werr error
+					id, werr = or.WritePolicy(i)
+					return werr
+				}) == nil {
+					acked = append(acked, ackedWrite{mover, id})
+				}
+			} else if moverLoad.Op(or.Decide) != nil {
+				n++
+			}
+			if i == 0 {
+				close(started)
+			}
+			// Past the migration, keep going for opts.Ops/2 ops in all, so
+			// the chase after the cutover is part of the phase.
+			select {
+			case <-stop:
+				if i+1 >= opts.Ops/2 {
+					return
+				}
+			case <-ctx.Done():
+				return
+			default:
+			}
+		}
+	}()
+	<-started
 	err = retry.Op(func() error {
 		rep, err := amclient.MigrateOwner(rig.AdminClient("a-primary"), dst, mover, "shard-b",
 			func(step int, msg string) { rig.Logf("loadgen: migrate(2) step %d: %s", step, msg) })
@@ -407,8 +478,14 @@ func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, erro
 		return err
 	})
 	retry.End()
+	close(stop)
+	failedDecisions := <-failed
+	moverLoad.End()
 	if err != nil {
 		return rec, phaseErr("migrate_retry", err)
+	}
+	if failedDecisions > 0 {
+		return rec, fmt.Errorf("loadgen: %d of the mover's decisions failed through the migration", failedDecisions)
 	}
 
 	// Post-cutover: the mover's traffic lands on shard-b (the client
@@ -437,4 +514,26 @@ func KillMigration(ctx context.Context, rig *Rig, opts Options) (*Recorder, erro
 		_, err := rigs[w.owner].Manager.GetPolicy(w.owner, w.id)
 		return err
 	})
+}
+
+// awaitFollower waits until the follower node is connected to its primary
+// and has applied every record the primary has assigned.
+func awaitFollower(ctx context.Context, rig *Rig, primary, follower string) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if err := checkCtx(ctx, "await-follower"); err != nil {
+			return err
+		}
+		p, perr := rig.AdminClient(primary).Healthz()
+		f, ferr := rig.AdminClient(follower).Healthz()
+		if perr == nil && ferr == nil && p.Replication != nil && f.Replication != nil &&
+			f.Replication.Connected && f.Replication.LastSeq >= p.Replication.LastSeq {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("loadgen: %s never caught up with %s (primary %v / %v, follower %v / %v)",
+				follower, primary, p.Replication, perr, f.Replication, ferr)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 }

@@ -73,6 +73,26 @@ func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 	return nil
 }
 
+// SubscribeAll subscribes the invalidation stream of every owner the
+// enforcer holds a default pairing for — after a restart, the pairings
+// rehydrated from Config.Store — and returns the owners it could not
+// subscribe, with why. Those keep the cache TTL as their freshness bound.
+func (e *Enforcer) SubscribeAll() map[core.UserID]error {
+	e.mu.RLock()
+	owners := make([]core.UserID, 0, len(e.pairings))
+	for owner := range e.pairings {
+		owners = append(owners, owner)
+	}
+	e.mu.RUnlock()
+	failed := make(map[core.UserID]error)
+	for _, owner := range owners {
+		if err := e.StartInvalidationStream(owner); err != nil {
+			failed[owner] = err
+		}
+	}
+	return failed
+}
+
 // applyEvent applies one stream event to the decision cache: scoped
 // eviction when the event names an owner, full drop on anything doubtful
 // (resync markers, unscoped payloads) — when in doubt, never leave a stale

@@ -142,6 +142,11 @@ type Config struct {
 type Coordinator struct {
 	cfg Config
 
+	// stop is closed by Stop: the run loop exits at its next remote call
+	// or move boundary, and back-off and rate-limit pauses end at once.
+	stop     chan struct{}
+	stopOnce sync.Once
+
 	mu      sync.Mutex
 	running bool
 	status  core.RebalanceStatus
@@ -161,7 +166,7 @@ func New(cfg Config) *Coordinator {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	c := &Coordinator{cfg: cfg}
+	c := &Coordinator{cfg: cfg, stop: make(chan struct{})}
 	if plan, ok := c.loadPlan(); ok {
 		c.status = c.statusOf(plan)
 	}
@@ -254,6 +259,44 @@ func (c *Coordinator) Abort() (core.RebalanceStatus, error) {
 	st := c.statusOf(plan)
 	c.setStatus(st)
 	return st, nil
+}
+
+// Stop halts the coordinator the way a crash would and returns once its
+// run loop has exited. Pauses end at once, the move in flight stops before
+// its next remote call, and no terminal state is checkpointed: the plan
+// stays running, so the next coordinator over the same store resumes it.
+// A stopped coordinator starts nothing.
+func (c *Coordinator) Stop() {
+	c.stopOnce.Do(func() { close(c.stop) })
+	c.mu.Lock()
+	running, idle := c.running, c.idle
+	c.mu.Unlock()
+	if running {
+		<-idle
+	}
+}
+
+// stopped reports whether Stop was called.
+func (c *Coordinator) stopped() bool {
+	select {
+	case <-c.stop:
+		return true
+	default:
+		return false
+	}
+}
+
+// pause sleeps for d, or until Stop; it reports whether the full pause
+// elapsed.
+func (c *Coordinator) pause(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-c.stop:
+		return false
+	case <-t.C:
+		return true
+	}
 }
 
 // Wait blocks until no run loop is active (or the timeout elapses) and
@@ -416,6 +459,10 @@ func (c *Coordinator) launch(p *Plan) (core.RebalanceStatus, error) {
 		c.mu.Unlock()
 		return cur, core.APIErrorf(core.CodeConflict, "rebalance: plan %s is already running", cur.ID)
 	}
+	if c.stopped() {
+		c.mu.Unlock()
+		return st, core.APIErrorf(core.CodeUnavailable, "rebalance: coordinator stopped")
+	}
 	c.running = true
 	c.abort = false
 	c.status = st
@@ -443,10 +490,13 @@ func (c *Coordinator) aborting() bool {
 
 // retry runs fn with capped exponential backoff — the budget covers a
 // shard primary's kill-and-restart window — giving up early on an abort
-// request.
+// request, and before any attempt once the coordinator is stopped.
 func (c *Coordinator) retry(desc string, fn func() error) error {
 	backoff := retryBaseBackoff
 	for attempt := 0; ; attempt++ {
+		if c.stopped() {
+			return fmt.Errorf("%w before %s", errCrashed, desc)
+		}
 		err := fn()
 		if err == nil {
 			return nil
@@ -455,16 +505,17 @@ func (c *Coordinator) retry(desc string, fn func() error) error {
 			return fmt.Errorf("rebalance: %s: %w", desc, err)
 		}
 		c.cfg.Logf("rebalance: %s failed (attempt %d/%d), retrying: %v", desc, attempt+1, c.cfg.MaxRetries, err)
-		time.Sleep(backoff)
+		c.pause(backoff)
 		if backoff *= 2; backoff > retryMaxBackoff {
 			backoff = retryMaxBackoff
 		}
 	}
 }
 
-// errCrashed marks a BeforeMove-injected stop: the run loop exits with
-// the plan still checkpointed as running, exactly like a process kill.
-var errCrashed = errors.New("rebalance: stopped by test seam")
+// errCrashed marks a crash-style stop (Stop, or an error from the
+// BeforeMove seam): the run loop exits with the plan still checkpointed
+// as running, exactly like a process kill.
+var errCrashed = errors.New("rebalance: stopped")
 
 // run executes the plan to completion, abort, or failure. Every state
 // transition is checkpointed before it is acted on.
@@ -492,7 +543,7 @@ func (c *Coordinator) run(p *Plan) {
 		c.cfg.Logf("rebalance: plan %s done (%d moves)", p.ID, st.Total)
 	case errors.Is(err, errCrashed):
 		// Leave the plan checkpointed as running; a restart resumes it.
-		c.cfg.Logf("rebalance: plan %s stopped by test seam", p.ID)
+		c.cfg.Logf("rebalance: plan %s stopped with %d/%d moves done: %v", p.ID, st.Done, st.Total, err)
 	default:
 		p.State = core.RebalanceFailed
 		p.Error = err.Error()
@@ -588,8 +639,8 @@ func (c *Coordinator) execute(p *Plan, st *core.RebalanceStatus) error {
 			}
 		}
 		if interval > 0 && !lastStart.IsZero() {
-			if wait := interval - time.Since(lastStart); wait > 0 {
-				time.Sleep(wait)
+			if wait := interval - time.Since(lastStart); wait > 0 && !c.pause(wait) {
+				return errCrashed
 			}
 		}
 		lastStart = time.Now()

@@ -81,6 +81,9 @@ type rig struct {
 	ams    map[string]*am.AM
 	srvs   map[string]*httptest.Server
 	calls  *callCounter
+	// handlers maps shard names to the http.Handler their server runs,
+	// so a restart can swap the AM behind a live listener.
+	handlers sync.Map
 }
 
 // newRig starts one AM primary per named shard, all built from the same
@@ -95,9 +98,7 @@ func newRig(t *testing.T, shardNames ...string) *rig {
 	}
 	// Servers first: the ring must name the URLs before the AMs exist.
 	for _, name := range shardNames {
-		srv := httptest.NewUnstartedServer(nil)
-		srv.Start()
-		r.srvs[name] = srv
+		srv := r.newServer(name)
 		r.shards = append(r.shards, core.ShardInfo{
 			Name: name, Primary: srv.URL, Endpoints: []string{srv.URL},
 		})
@@ -114,6 +115,17 @@ func newRig(t *testing.T, shardNames ...string) *rig {
 	return r
 }
 
+// newServer starts the named shard's server, serving whatever handler
+// startAM last installed for it.
+func (r *rig) newServer(name string) *httptest.Server {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		h, _ := r.handlers.Load(name)
+		h.(http.Handler).ServeHTTP(w, req)
+	}))
+	r.srvs[name] = srv
+	return srv
+}
+
 // startAM builds (or rebuilds, with the given store — the crash-restart
 // path) the named shard's AM and points its server at it.
 func (r *rig) startAM(name string, st *store.Store) *am.AM {
@@ -123,7 +135,7 @@ func (r *rig) startAM(name string, st *store.Store) *am.AM {
 		Replication: am.ReplicationConfig{Role: am.RolePrimary, Secret: testSecret},
 		Cluster:     am.ClusterConfig{Shard: name, Ring: r.ring},
 	})
-	r.srvs[name].Config.Handler = r.calls.middleware(a.Handler())
+	r.handlers.Store(name, r.calls.middleware(a.Handler()))
 	r.ams[name] = a
 	return a
 }
@@ -134,9 +146,7 @@ func (r *rig) startAM(name string, st *store.Store) *am.AM {
 // it.
 func (r *rig) addShard(name string) core.ShardInfo {
 	r.t.Helper()
-	srv := httptest.NewUnstartedServer(nil)
-	srv.Start()
-	r.srvs[name] = srv
+	srv := r.newServer(name)
 	info := core.ShardInfo{Name: name, Primary: srv.URL, Endpoints: []string{srv.URL}}
 	r.shards = append(r.shards, info)
 	r.startAM(name, nil)
@@ -435,6 +445,49 @@ func TestRebalanceCrashResume(t *testing.T) {
 				t.Errorf("owner %s copied %d times during resume, want exactly 1", m.Owner, delta)
 			}
 		}
+	}
+	r.assertConverged(nil, target)
+}
+
+// --- AM.Close stops the embedded coordinator like a crash ---
+
+// TestAMCloseStopsCoordinator: closing the AM that hosts a running plan
+// stops its coordinator before Close returns — no remote pin or copy
+// afterwards — and leaves the plan running, so a new AM over the same
+// store resumes it to done.
+func TestAMCloseStopsCoordinator(t *testing.T) {
+	r := newRig(t, "shard-a", "shard-b")
+	r.seedOwners(8)
+	added := r.addShard("shard-c")
+	target := r.targetAdd(added)
+
+	st, err := r.client("shard-a").RebalanceStart(core.RebalanceRequest{Target: target, MovesPerSec: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Total < 3 {
+		t.Fatalf("need at least 3 moves, got %d", st.Total)
+	}
+	host := r.ams["shard-a"]
+	for host.Rebalancer().Status().Done < 1 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	host.Close()
+
+	before := r.calls.snapshot()
+	time.Sleep(time.Second) // four move intervals
+	if after := r.calls.snapshot(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("coordinator kept working after AM.Close:\nbefore %v\nafter  %v", before, after)
+	}
+	stopped := host.Rebalancer().Status()
+	if stopped.State != core.RebalanceRunning || stopped.Done >= stopped.Total {
+		t.Fatalf("closed mid-plan, status %+v; want running with moves left", stopped)
+	}
+
+	resumed := r.startAM("shard-a", host.Store())
+	st = resumed.Rebalancer().Wait(60 * time.Second)
+	if st.State != core.RebalanceDone || st.Done != st.Total || st.ID != stopped.ID {
+		t.Fatalf("after restart: %+v, want plan %s done", st, stopped.ID)
 	}
 	r.assertConverged(nil, target)
 }

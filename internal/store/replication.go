@@ -91,14 +91,25 @@ func (r *replState) since(fromSeq int64, max int) ([]core.ReplRecord, error) {
 
 // EnableReplication starts retaining the WAL tail for followers, keeping up
 // to window records (DefaultReplicationWindow when window <= 0). It is a
-// no-op on a store that already replicates. Writes before the call are not
-// retained; followers bootstrapping from a snapshot taken afterwards never
-// need them.
+// no-op on a store that already replicates. The tail starts with the
+// records Open replayed from the WAL, so after a restart a reader whose
+// offset lies after the last compaction — a follower, or an owner
+// migration draining from a checkpointed offset — resumes where it was.
+// Writes made since Open but before the call are not retained; followers
+// bootstrapping from a snapshot taken afterwards never need them.
 func (s *Store) EnableReplication(window int) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.repl == nil {
 		s.repl = newReplState(window)
+		// The ring must stay contiguous: seed it only when nothing was
+		// written after the replay.
+		if n := len(s.replayed); n > 0 && s.replayed[n-1].Seq == s.lastSeq {
+			for _, rec := range s.replayed {
+				s.repl.push(rec)
+			}
+		}
+		s.replayed = nil
 	}
 }
 

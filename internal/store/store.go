@@ -124,8 +124,11 @@ type Store struct {
 	// cannot enqueue into a batch nobody will ever flush.
 	walClosing bool
 	// repl retains the recent WAL tail for followers (nil until
-	// EnableReplication).
-	repl *replState
+	// EnableReplication). replayed holds the records Open replayed from
+	// the WAL (at most DefaultReplicationWindow), which EnableReplication
+	// moves into repl.
+	repl     *replState
+	replayed []core.ReplRecord
 	// watch is the ReplWatch broadcast channel (closed and replaced on
 	// every logged mutation; nil until someone watches).
 	watch chan struct{}
@@ -577,6 +580,13 @@ func Open(path string, opts ...Option) (*Store, error) {
 		}
 		s.applyReplayed(rec)
 		s.lastSeq = rec.Seq
+		s.replayed = append(s.replayed, core.ReplRecord{
+			Seq: rec.Seq, Op: rec.Op, Kind: rec.Kind, Key: rec.Key,
+			Version: rec.Version, Data: rec.Data,
+		})
+	}
+	if n := len(s.replayed) - DefaultReplicationWindow; n > 0 {
+		s.replayed = s.replayed[n:]
 	}
 	s.wal = w
 	s.nextSeq = s.lastSeq

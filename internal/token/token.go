@@ -154,11 +154,11 @@ func (s *Service) verify(tok string) ([]byte, error) {
 	if dot < 0 || strings.IndexByte(tok[dot+1:], '.') >= 0 {
 		return nil, fmt.Errorf("%w: malformed", core.ErrTokenInvalid)
 	}
-	payload, err := base64.RawURLEncoding.DecodeString(tok[:dot])
+	payload, err := core.DecodeSegment(tok[:dot])
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad payload encoding", core.ErrTokenInvalid)
 	}
-	sig, err := base64.RawURLEncoding.DecodeString(tok[dot+1:])
+	sig, err := core.DecodeSegment(tok[dot+1:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad signature encoding", core.ErrTokenInvalid)
 	}

@@ -233,8 +233,7 @@ func FormatPolicies(policies []Policy) string {
 // Store is the sharded, WAL-backed datastore used for AM and Host state.
 type Store = store.Store
 
-// StoreOption customizes OpenStore (see StoreWithoutWAL, StoreWithFsync,
-// StoreWithWALPath).
+// StoreOption customizes OpenStore (see StoreWithFsync, StoreWithWALPath).
 type StoreOption = store.Option
 
 // NewStore returns an empty memory-only datastore for AM state.
@@ -246,10 +245,6 @@ func NewStore() *Store { return store.New() }
 // compacts the log; Close releases it.
 func OpenStore(path string, opts ...StoreOption) (*Store, error) { return store.Open(path, opts...) }
 
-// StoreWithoutWAL disables the write-ahead log: state persists only on
-// explicit Snapshot calls (the pre-WAL behaviour).
-func StoreWithoutWAL() StoreOption { return store.WithoutWAL() }
-
 // StoreWithFsync fsyncs the write-ahead log on every commit, extending the
 // durability guarantee from "survives process kills" to "survives machine
 // crashes". Concurrent writers are group-committed and share one fsync per
@@ -259,6 +254,3 @@ func StoreWithFsync() StoreOption { return store.WithFsync() }
 // StoreWithWALPath roots the write-ahead log's segment files at an
 // explicit path instead of "<state path>.wal".
 func StoreWithWALPath(path string) StoreOption { return store.WithWALPath(path) }
-
-// StoreWithWALSegmentSize sets the WAL segment roll threshold in bytes.
-func StoreWithWALSegmentSize(n int64) StoreOption { return store.WithWALSegmentSize(n) }
