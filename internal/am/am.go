@@ -28,6 +28,7 @@ import (
 	"umac/internal/cluster"
 	"umac/internal/core"
 	"umac/internal/events"
+	"umac/internal/httpsig"
 	"umac/internal/identity"
 	"umac/internal/policy"
 	"umac/internal/rebalance"
@@ -421,11 +422,22 @@ func (a *AM) ExchangeCode(code string, host core.HostID) (core.PairingResponse, 
 // PairingSecret implements httpsig.SecretSource: revoked pairings stop
 // verifying immediately.
 func (a *AM) PairingSecret(pairingID string) (string, bool) {
+	p, err := a.channelPairing(pairingID)
+	return p.Secret, err == nil
+}
+
+// channelPairing reads the pairing a signed request names, once per
+// request: its secret verifies the signature and the handler gets the rest.
+// Unknown and revoked pairings fail as httpsig.ErrUnknownPairing.
+func (a *AM) channelPairing(pairingID string) (Pairing, error) {
+	if pairingID == "" {
+		return Pairing{}, httpsig.ErrUnsigned
+	}
 	var p Pairing
 	if _, err := a.store.Get(kindPairing, pairingID, &p); err != nil || p.Revoked {
-		return "", false
+		return Pairing{}, fmt.Errorf("%w: %s", httpsig.ErrUnknownPairing, pairingID)
 	}
-	return p.Secret, true
+	return p, nil
 }
 
 // GetPairing returns a pairing by ID.

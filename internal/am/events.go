@@ -162,12 +162,7 @@ func (a *AM) handleEventsConsent(w http.ResponseWriter, r *http.Request) {
 // channel like every Host API. The subscription is scoped to the
 // pairing's owner (application-scoped pairings see every owner, matching
 // their delegation).
-func (a *AM) handleEventsInvalidation(w http.ResponseWriter, r *http.Request, pairingID string) {
-	p, err := a.GetPairing(pairingID)
-	if err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
+func (a *AM) handleEventsInvalidation(w http.ResponseWriter, r *http.Request, p Pairing, _ []byte) {
 	f := events.Filter{Types: []core.EventType{core.EventInvalidation}}
 	if p.Scope != core.PairingScopeApplication {
 		f.Owner = p.User

@@ -234,13 +234,29 @@ func (a *AM) authed(cost float64, h authedHandler) http.Handler {
 	})
 }
 
+// signedHandler receives a verified signed request: its pairing, read
+// once, and its body, read once and valid until the handler returns.
+type signedHandler func(w http.ResponseWriter, r *http.Request, p Pairing, body []byte)
+
 // signed wraps Host-facing endpoints with HMAC channel verification, then
-// charges cost against the verified pairing's bucket; the handler
-// receives the authenticated pairing ID. Verification runs first so a
-// forged signature cannot drain a tenant's budget.
-func (a *AM) signed(v *httpsig.Verifier, cost float64, h func(w http.ResponseWriter, r *http.Request, pairingID string)) http.Handler {
+// charges cost against the verified pairing's bucket. The body is read
+// first, capped at webutil.MaxBodyBytes, so an oversized one is answered
+// request_too_large before anything else is read; verification runs before
+// the charge, so a forged signature cannot drain a tenant's budget.
+func (a *AM) signed(v *httpsig.Verifier, cost float64, h signedHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		pairingID, err := v.Verify(r)
+		buf := bodyPool.Get().(*[]byte)
+		defer putBody(buf)
+		body, err := webutil.ReadBody((*buf)[:0], r)
+		*buf = body
+		if err != nil {
+			webutil.Fail(w, r, err)
+			return
+		}
+		p, err := a.channelPairing(r.Header.Get(httpsig.HeaderPairing))
+		if err == nil {
+			err = v.VerifyBody(r, p.Secret, body)
+		}
 		if err != nil {
 			code := core.CodeSignatureInvalid
 			if errors.Is(err, httpsig.ErrReplay) {
@@ -249,10 +265,10 @@ func (a *AM) signed(v *httpsig.Verifier, cost float64, h func(w http.ResponseWri
 			webutil.FailCode(w, r, code, "%s", err.Error())
 			return
 		}
-		if !a.allow(w, r, tierPairing, pairingID, cost) {
+		if !a.allow(w, r, tierPairing, p.ID, cost) {
 			return
 		}
-		h(w, r, pairingID)
+		h(w, r, p, body)
 	})
 }
 
@@ -437,13 +453,13 @@ func (a *AM) handlePairingRevoke(w http.ResponseWriter, r *http.Request, actor c
 
 // --- Host API handlers ---
 
-func (a *AM) handleProtect(w http.ResponseWriter, r *http.Request, pairingID string) {
+func (a *AM) handleProtect(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
 	var req core.ProtectRequest
-	if err := webutil.ReadJSON(r, &req); err != nil {
+	if err := webutil.DecodeJSON(body, &req); err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	resp, err := a.RegisterRealm(pairingID, req)
+	resp, err := a.RegisterRealm(p.ID, req)
 	if err != nil {
 		webutil.Fail(w, r, err)
 		return
@@ -451,68 +467,71 @@ func (a *AM) handleProtect(w http.ResponseWriter, r *http.Request, pairingID str
 	webutil.WriteJSON(w, http.StatusOK, resp)
 }
 
-func (a *AM) handleDecision(w http.ResponseWriter, r *http.Request, pairingID string) {
-	q := decisionQueryPool.Get().(*core.DecisionQuery)
-	defer decisionQueryPool.Put(q)
-	*q = core.DecisionQuery{}
-	if err := webutil.ReadJSON(r, q); err != nil {
+func (a *AM) handleDecision(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
+	var q core.DecisionQuery
+	if err := q.DecodeJSON(body); err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	resp, err := a.Decide(pairingID, *q)
+	resp, err := a.decide(p, q)
 	if err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	writeDecisionJSON(w, r, resp)
+	writeDecision(w, &resp)
 }
 
-func (a *AM) handleDecisionBatch(w http.ResponseWriter, r *http.Request, pairingID string) {
-	q := batchQueryPool.Get().(*core.BatchDecisionQuery)
-	defer batchQueryPool.Put(q)
-	*q = core.BatchDecisionQuery{Items: q.Items[:0]}
-	if err := webutil.ReadJSON(r, q); err != nil {
+func (a *AM) handleDecisionBatch(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
+	items := itemsPool.Get().(*[]core.BatchDecisionItem)
+	q := core.BatchDecisionQuery{Items: *items}
+	defer func() {
+		if cap(q.Items) > cap(*items) {
+			*items = q.Items[:0]
+		}
+		// Pool the array without pinning this body's strings.
+		clear((*items)[:cap(*items)])
+		if cap(*items) <= core.MaxBatchDecisionItems {
+			itemsPool.Put(items)
+		}
+	}()
+	if err := q.DecodeJSON(body); err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	resp, err := a.DecideBatch(pairingID, *q)
+	resp, err := a.decideBatch(p, q)
 	if err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	writeDecisionJSON(w, r, resp)
+	writeDecision(w, &resp)
 }
 
-func (a *AM) handlePullDecision(w http.ResponseWriter, r *http.Request, pairingID string) {
-	req := pullQueryPool.Get().(*core.PullDecisionQuery)
-	defer pullQueryPool.Put(req)
-	*req = core.PullDecisionQuery{}
-	if err := webutil.ReadJSON(r, req); err != nil {
+func (a *AM) handlePullDecision(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
+	var req core.PullDecisionQuery
+	if err := webutil.DecodeJSON(body, &req); err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	resp, err := a.PullDecide(pairingID, req.Query, req.Subject, req.Requester)
+	resp, err := a.PullDecide(p.ID, req.Query, req.Subject, req.Requester)
 	if err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	writeDecisionJSON(w, r, resp)
+	writeDecision(w, &resp)
 }
 
-func (a *AM) handleStateDecision(w http.ResponseWriter, r *http.Request, pairingID string) {
-	req := stateQueryPool.Get().(*core.StateDecisionQuery)
-	defer stateQueryPool.Put(req)
-	*req = core.StateDecisionQuery{}
-	if err := webutil.ReadJSON(r, req); err != nil {
+func (a *AM) handleStateDecision(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
+	var req core.StateDecisionQuery
+	if err := webutil.DecodeJSON(body, &req); err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	resp, err := a.StateDecide(pairingID, req.Query, req.Handle)
+	resp, err := a.StateDecide(p.ID, req.Query, req.Handle)
 	if err != nil {
 		webutil.Fail(w, r, err)
 		return
 	}
-	writeDecisionJSON(w, r, resp)
+	writeDecision(w, &resp)
 }
 
 func (a *AM) handleEstablishState(w http.ResponseWriter, r *http.Request) {

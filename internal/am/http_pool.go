@@ -1,53 +1,43 @@
 package am
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 
 	"umac/internal/core"
-	"umac/internal/webutil"
 )
 
 // The decision routes are the AM's hot path: every cache-missing resource
-// access on every paired Host lands here. The handlers below recycle their
-// request envelopes and response encode buffers through sync.Pool so a
-// sustained decision load does not allocate two envelopes plus an encoder
-// buffer per request. Pooling is safe because every Decide* method takes
-// its query by value and returns its response by value — nothing retains
-// the pooled object past the handler.
+// access on every paired Host lands here. A signed request's body is read
+// once into a pooled buffer, decoded by the envelope codec (core's
+// AppendJSON/DecodeJSON, no reflection), and the response is encoded into
+// another pooled buffer and written with one Write call. Pooling is safe
+// because the codec copies every string it decodes and every Decide*
+// method returns its response by value — nothing retains a pooled buffer
+// past the handler.
 
 var (
-	decisionQueryPool = sync.Pool{New: func() any { return new(core.DecisionQuery) }}
-	batchQueryPool    = sync.Pool{New: func() any { return new(core.BatchDecisionQuery) }}
-	pullQueryPool     = sync.Pool{New: func() any { return new(core.PullDecisionQuery) }}
-	stateQueryPool    = sync.Pool{New: func() any { return new(core.StateDecisionQuery) }}
-	decisionBufPool   = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+	bodyPool  = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+	itemsPool = sync.Pool{New: func() any { s := make([]core.BatchDecisionItem, 0, 16); return &s }}
 )
 
-// maxPooledDecisionBuf caps the encode buffers kept for reuse; a giant
-// batch response is served and then let go rather than pinned forever.
-const maxPooledDecisionBuf = 64 << 10
+// maxPooledBody caps the buffers kept for reuse; a giant body is served
+// and then let go rather than pinned forever.
+const maxPooledBody = 64 << 10
 
-// writeDecisionJSON is webutil.WriteJSON through a pooled buffer: the
-// response is encoded once into reusable memory and written with a single
-// Write call.
-func writeDecisionJSON(w http.ResponseWriter, r *http.Request, v any) {
-	buf := decisionBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		decisionBufPool.Put(buf)
-		// Through the structured funnel, not http.Error: a 500 must wear
-		// the envelope and the sanitizer, never the raw encoder message.
-		webutil.Fail(w, r, fmt.Errorf("am: encode decision response: %w: %w", core.ErrInternalFault, err))
-		return
+func putBody(b *[]byte) {
+	if cap(*b) <= maxPooledBody {
+		bodyPool.Put(b)
 	}
+}
+
+// writeDecision writes a decision envelope as the JSON body of a 200, in
+// the bytes json.Encoder wrote: the envelope and a newline.
+func writeDecision(w http.ResponseWriter, e interface{ AppendJSON([]byte) []byte }) {
+	buf := bodyPool.Get().(*[]byte)
+	*buf = append(e.AppendJSON((*buf)[:0]), '\n')
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
-	if buf.Cap() <= maxPooledDecisionBuf {
-		decisionBufPool.Put(buf)
-	}
+	_, _ = w.Write(*buf)
+	putBody(buf)
 }

@@ -126,6 +126,12 @@ func (a *AM) grantTokenWithConsent(req core.TokenRequest, realm Realm) (core.Tok
 // evaluate builds the policy request and runs the two-stage engine over
 // the compiled decision index.
 func (a *AM) evaluate(req core.TokenRequest, realm Realm, consent bool) policy.Result {
+	return a.evaluateWith(req, realm, consent, a.compiledGeneral(realm.Owner, req.Realm))
+}
+
+// evaluateWith is evaluate with the realm's compiled general policy already
+// resolved.
+func (a *AM) evaluateWith(req core.TokenRequest, realm Realm, consent bool, general *policy.CompiledPolicy) policy.Result {
 	preq := policy.Request{
 		Subject:        req.Subject,
 		Requester:      req.Requester,
@@ -138,19 +144,49 @@ func (a *AM) evaluate(req core.TokenRequest, realm Realm, consent bool) policy.R
 	}
 	// The compiled index resolves both links without touching the store on
 	// a hit and hands the engine pre-filtered candidate rules per action.
-	general := a.compiledGeneral(realm.Owner, req.Realm)
 	specific := a.compiledSpecific(realm.Owner, req.Host, req.Resource)
 	return a.engine.EvaluateCompiled(preq, general, specific)
 }
 
 // decideCtx memoizes the lookups shared by the items of one batch decision
-// query: realm resolution, token validation and grant-context recovery. A
-// batch of N items for one page of resources typically carries one token and
-// one realm, so the whole batch costs one validation and one realm fetch.
+// query: realm resolution and its general policy, token validation and
+// grant-context recovery. A batch of N items for one page of resources
+// typically carries one token and one realm, so the whole batch costs one
+// validation and one realm fetch — and, each memo holding its first entry
+// inline, no map at all.
 type decideCtx struct {
-	realms map[core.RealmID]realmLookup
-	tokens map[string]tokenLookup
-	grants map[string]grantRecord
+	realms   memo[core.RealmID, realmLookup]
+	generals memo[core.RealmID, *policy.CompiledPolicy]
+	tokens   memo[string, tokenLookup]
+	grants   memo[string, grantRecord]
+}
+
+// memo is a lookup cache whose first entry needs no allocation; a map is
+// made only once a second distinct key appears.
+type memo[K comparable, V any] struct {
+	k0   K
+	v0   V
+	used bool
+	more map[K]V
+}
+
+func (m *memo[K, V]) get(k K) (V, bool) {
+	if m.used && m.k0 == k {
+		return m.v0, true
+	}
+	v, ok := m.more[k]
+	return v, ok
+}
+
+func (m *memo[K, V]) put(k K, v V) {
+	if !m.used {
+		m.k0, m.v0, m.used = k, v, true
+		return
+	}
+	if m.more == nil {
+		m.more = make(map[K]V)
+	}
+	m.more[k] = v
 }
 
 type realmLookup struct {
@@ -163,39 +199,40 @@ type tokenLookup struct {
 	err    error
 }
 
-func newDecideCtx() *decideCtx {
-	return &decideCtx{
-		realms: make(map[core.RealmID]realmLookup),
-		tokens: make(map[string]tokenLookup),
-		grants: make(map[string]grantRecord),
-	}
-}
-
 func (a *AM) realmCached(ctx *decideCtx, host core.HostID, realm core.RealmID) (Realm, error) {
-	if l, ok := ctx.realms[realm]; ok {
+	if l, ok := ctx.realms.get(realm); ok {
 		return l.realm, l.err
 	}
 	r, err := a.LookupRealm(host, realm)
-	ctx.realms[realm] = realmLookup{realm: r, err: err}
+	ctx.realms.put(realm, realmLookup{realm: r, err: err})
 	return r, err
 }
 
+func (a *AM) generalCached(ctx *decideCtx, realm Realm, id core.RealmID) *policy.CompiledPolicy {
+	if c, ok := ctx.generals.get(id); ok {
+		return c
+	}
+	c := a.compiledGeneral(realm.Owner, id)
+	ctx.generals.put(id, c)
+	return c
+}
+
 func (a *AM) tokenCached(ctx *decideCtx, tok string) (token.Claims, error) {
-	if l, ok := ctx.tokens[tok]; ok {
+	if l, ok := ctx.tokens.get(tok); ok {
 		return l.claims, l.err
 	}
 	claims, err := a.tokens.Validate(tok)
-	ctx.tokens[tok] = tokenLookup{claims: claims, err: err}
+	ctx.tokens.put(tok, tokenLookup{claims: claims, err: err})
 	return claims, err
 }
 
 func (a *AM) grantCached(ctx *decideCtx, claimID string) grantRecord {
-	if g, ok := ctx.grants[claimID]; ok {
+	if g, ok := ctx.grants.get(claimID); ok {
 		return g
 	}
 	var grant grantRecord
 	a.store.Get(kindGrant, claimID, &grant)
-	ctx.grants[claimID] = grant
+	ctx.grants.put(claimID, grant)
 	return grant
 }
 
@@ -203,17 +240,25 @@ func (a *AM) grantCached(ctx *decideCtx, claimID string) grantRecord {
 // authenticated channel identity established by httpsig; the query is
 // rejected unless the pairing's Host matches the query's Host.
 func (a *AM) Decide(pairingID string, q core.DecisionQuery) (core.DecisionResponse, error) {
-	a.trace(core.PhaseObtainingDecision, "host:"+string(q.Host), "am:"+a.name,
-		"decision-query", fmt.Sprintf("%s/%s %s", q.Realm, q.Resource, q.Action))
 	pairing, err := a.GetPairing(pairingID)
 	if err != nil {
 		return core.DecisionResponse{}, err
 	}
+	return a.decide(pairing, q)
+}
+
+// decide is Decide for a pairing the caller has already read.
+func (a *AM) decide(pairing Pairing, q core.DecisionQuery) (core.DecisionResponse, error) {
+	if a.tracer != nil {
+		a.trace(core.PhaseObtainingDecision, "host:"+string(q.Host), "am:"+a.name,
+			"decision-query", fmt.Sprintf("%s/%s %s", q.Realm, q.Resource, q.Action))
+	}
 	if pairing.Host != q.Host {
 		return core.DecisionResponse{}, fmt.Errorf("am: pairing %s belongs to host %q, query claims %q",
-			pairingID, pairing.Host, q.Host)
+			pairing.ID, pairing.Host, q.Host)
 	}
-	dec, ev, err := a.decideItem(newDecideCtx(), q)
+	var ctx decideCtx
+	dec, ev, err := a.decideItem(&ctx, q)
 	if err == nil {
 		a.auditPipe.Enqueue(ev)
 	}
@@ -227,6 +272,15 @@ func (a *AM) Decide(pairingID string, q core.DecisionQuery) (core.DecisionRespon
 // (unknown realm, storage errors) deny that item with Error set instead of
 // failing the batch, so one bad item cannot veto a page load.
 func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.BatchDecisionResponse, error) {
+	pairing, err := a.GetPairing(pairingID)
+	if err != nil {
+		return core.BatchDecisionResponse{}, err
+	}
+	return a.decideBatch(pairing, q)
+}
+
+// decideBatch is DecideBatch for a pairing the caller has already read.
+func (a *AM) decideBatch(pairing Pairing, q core.BatchDecisionQuery) (core.BatchDecisionResponse, error) {
 	if len(q.Items) == 0 {
 		return core.BatchDecisionResponse{}, fmt.Errorf("am: batch decision query carries no items")
 	}
@@ -234,17 +288,15 @@ func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.Batc
 		return core.BatchDecisionResponse{}, fmt.Errorf("am: batch of %d items exceeds limit %d",
 			len(q.Items), core.MaxBatchDecisionItems)
 	}
-	a.trace(core.PhaseObtainingDecision, "host:"+string(q.Host), "am:"+a.name,
-		"decision-query-batch", fmt.Sprintf("%d items", len(q.Items)))
-	pairing, err := a.GetPairing(pairingID)
-	if err != nil {
-		return core.BatchDecisionResponse{}, err
+	if a.tracer != nil {
+		a.trace(core.PhaseObtainingDecision, "host:"+string(q.Host), "am:"+a.name,
+			"decision-query-batch", fmt.Sprintf("%d items", len(q.Items)))
 	}
 	if pairing.Host != q.Host {
 		return core.BatchDecisionResponse{}, fmt.Errorf("am: pairing %s belongs to host %q, query claims %q",
-			pairingID, pairing.Host, q.Host)
+			pairing.ID, pairing.Host, q.Host)
 	}
-	ctx := newDecideCtx()
+	var ctx decideCtx
 	resp := core.BatchDecisionResponse{Results: make([]core.BatchDecisionResult, len(q.Items))}
 	events := make([]audit.Event, 0, len(q.Items))
 	for i, item := range q.Items {
@@ -252,8 +304,8 @@ func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.Batc
 		if tok == "" {
 			tok = q.Token
 		}
-		dec, ev, err := a.decideItem(ctx, core.DecisionQuery{
-			PairingID: pairingID,
+		dec, ev, err := a.decideItem(&ctx, core.DecisionQuery{
+			PairingID: pairing.ID,
 			Host:      q.Host,
 			Realm:     item.Realm,
 			Resource:  item.Resource,
@@ -332,13 +384,15 @@ func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResp
 		Action:    q.Action,
 		Claims:    grant.Claims,
 	}
-	res := a.evaluate(req, realm, grant.ConsentGranted)
+	res := a.evaluateWith(req, realm, grant.ConsentGranted, a.generalCached(ctx, realm, q.Realm))
 	decision := core.DecisionDeny
 	if res.Decision == core.DecisionPermit {
 		decision = core.DecisionPermit
 	}
-	a.trace(core.PhaseObtainingDecision, "am:"+a.name, "host:"+string(q.Host),
-		"decision-response", decision.String())
+	if a.tracer != nil {
+		a.trace(core.PhaseObtainingDecision, "am:"+a.name, "host:"+string(q.Host),
+			"decision-response", decision.String())
+	}
 	return core.DecisionResponse{
 		Decision:        decision.String(),
 		CacheTTLSeconds: a.cacheTTLSeconds(res),

@@ -29,12 +29,14 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"umac/internal/core"
 	"umac/internal/httpsig"
 	"umac/internal/identity"
+	"umac/internal/webutil"
 )
 
 // Config configures a Client.
@@ -216,27 +218,31 @@ func ownerQuery(owner core.UserID) url.Values {
 // in (nil = no body) and decoding a 2xx response into out (nil = discard).
 // Non-2xx responses return *core.APIError.
 func (c *Client) do(method, path string, q url.Values, in, out any) error {
-	var body io.Reader
+	var payload []byte
 	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if payload, err = json.Marshal(in); err != nil {
 			return fmt.Errorf("amclient: encode %s: %w", path, err)
 		}
-		body = bytes.NewReader(b)
 	}
-	return c.doRaw(method, path, q, body, "application/json", out)
+	return c.send(method, path, q, payload, "application/json", out, nil)
 }
 
 // newRequest builds an API request against one endpoint with both auth
 // modes applied: the session identity header and (when credentials are
-// configured) the HMAC signature. Every call path goes through here so
-// auth can never drift between methods.
-func (c *Client) newRequest(base, method, path string, q url.Values, body io.Reader, contentType string) (*http.Request, error) {
+// configured) the HMAC signature over payload, which is sent as the body
+// (nil = no body). Every call path goes through here so auth can never
+// drift between methods.
+func (c *Client) newRequest(base, method, path string, q url.Values, payload []byte, contentType string) (*http.Request, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
 	req, err := http.NewRequest(method, c.urlAt(base, path, q), body)
 	if err != nil {
 		return nil, fmt.Errorf("amclient: build %s: %w", path, err)
 	}
-	if body != nil && contentType != "" {
+	if payload != nil && contentType != "" {
 		req.Header.Set("Content-Type", contentType)
 	}
 	if c.cfg.User != "" {
@@ -246,31 +252,17 @@ func (c *Client) newRequest(base, method, path string, q url.Values, body io.Rea
 		req.Header.Set("Authorization", "Bearer "+c.cfg.ReplSecret)
 	}
 	if c.cfg.PairingID != "" {
-		if err := httpsig.Sign(req, c.cfg.PairingID, c.cfg.Secret); err != nil {
-			return nil, fmt.Errorf("amclient: sign %s: %w", path, err)
-		}
+		httpsig.SignBody(req, c.cfg.PairingID, c.cfg.Secret, payload)
 	}
 	return req, nil
 }
 
-// doRaw is do with a caller-supplied body stream and content type. The body
-// is buffered so a failover can replay it: each endpoint is tried at most
-// once per call, starting at the last known-good one.
-func (c *Client) doRaw(method, path string, q url.Values, body io.Reader, contentType string, out any) error {
-	return c.doRawHdr(method, path, q, body, contentType, out, nil)
-}
-
-// doRawHdr is doRaw with optional response-header capture: when hdr is
-// non-nil it receives the headers of the successful attempt (list routes
-// carry their pagination frame there).
-func (c *Client) doRawHdr(method, path string, q url.Values, body io.Reader, contentType string, out any, hdr *http.Header) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = io.ReadAll(body); err != nil {
-			return fmt.Errorf("amclient: read %s body: %w", path, err)
-		}
-	}
+// send performs one API call with payload as its body, trying each
+// endpoint at most once, starting at the last known-good one; a failover
+// sends the same bytes again. When hdr is non-nil it receives the headers
+// of the successful attempt (list routes carry their pagination frame
+// there).
+func (c *Client) send(method, path string, q url.Values, payload []byte, contentType string, out any, hdr *http.Header) error {
 	tried := make([]bool, len(c.endpoints))
 	at := int(c.cur.Load())
 	retries := c.cfg.Retry429
@@ -286,11 +278,7 @@ func (c *Client) doRawHdr(method, path string, q url.Values, body io.Reader, con
 	var lastErr error
 	for at >= 0 {
 		tried[at] = true
-		var attempt io.Reader
-		if payload != nil {
-			attempt = bytes.NewReader(payload)
-		}
-		err := c.doOnce(c.endpoints[at], method, path, q, attempt, contentType, out, hdr)
+		err := c.doOnce(c.endpoints[at], method, path, q, payload, contentType, out, hdr)
 		if err == nil {
 			// Remember the working endpoint so later calls start here.
 			c.cur.Store(int32(at))
@@ -345,9 +333,18 @@ func (c *Client) backoff429(hint time.Duration, n int, remaining time.Duration) 
 	return wait
 }
 
+// bodyDecoder is a response envelope with its own codec (core's decision
+// envelopes); doOnce hands it the whole body instead of running
+// encoding/json.
+type bodyDecoder interface{ DecodeJSON([]byte) error }
+
+// respBufPool holds the buffers decision responses are read into; the
+// codec copies what it keeps, so a buffer is reused at once.
+var respBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4<<10); return &b }}
+
 // doOnce performs one API call against one endpoint.
-func (c *Client) doOnce(base, method, path string, q url.Values, body io.Reader, contentType string, out any, hdr *http.Header) error {
-	req, err := c.newRequest(base, method, path, q, body, contentType)
+func (c *Client) doOnce(base, method, path string, q url.Values, payload []byte, contentType string, out any, hdr *http.Header) error {
+	req, err := c.newRequest(base, method, path, q, payload, contentType)
 	if err != nil {
 		return err
 	}
@@ -362,13 +359,31 @@ func (c *Client) doOnce(base, method, path string, q url.Values, body io.Reader,
 	if hdr != nil {
 		*hdr = resp.Header.Clone()
 	}
-	if out != nil {
+	switch out := out.(type) {
+	case nil:
+	case bodyDecoder:
+		buf := respBufPool.Get().(*[]byte)
+		body, err := webutil.AppendBody((*buf)[:0], resp.Body, resp.ContentLength)
+		if err == nil {
+			err = out.DecodeJSON(body)
+		}
+		*buf = body
+		if cap(body) <= maxPooledResp {
+			respBufPool.Put(buf)
+		}
+		if err != nil {
+			return fmt.Errorf("amclient: decode %s response: %w", path, err)
+		}
+	default:
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 			return fmt.Errorf("amclient: decode %s response: %w", path, err)
 		}
 	}
 	return nil
 }
+
+// maxPooledResp caps the response buffers kept for reuse.
+const maxPooledResp = 64 << 10
 
 // get performs a GET decoding into out.
 func (c *Client) get(path string, q url.Values, out any) error {

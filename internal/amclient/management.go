@@ -81,7 +81,11 @@ func (c *Client) ImportPolicies(r io.Reader, owner core.UserID, format string) (
 	var out struct {
 		Imported int `json:"imported"`
 	}
-	err := c.doRaw(http.MethodPost, "/policies/import", q, r, "", &out)
+	payload, err := io.ReadAll(r)
+	if err != nil {
+		return 0, fmt.Errorf("amclient: read /policies/import body: %w", err)
+	}
+	err = c.send(http.MethodPost, "/policies/import", q, payload, "", &out, nil)
 	return out.Imported, err
 }
 
@@ -240,7 +244,7 @@ func parsePageFrame(hdr http.Header) (PageFrame, error) {
 func (c *Client) AuditPage(f AuditFilter, page Page) ([]audit.Event, PageFrame, error) {
 	var out []audit.Event
 	var hdr http.Header
-	if err := c.doRawHdr(http.MethodGet, "/audit", page.apply(f.query()), nil, "", &out, &hdr); err != nil {
+	if err := c.send(http.MethodGet, "/audit", page.apply(f.query()), nil, "", &out, &hdr); err != nil {
 		return nil, PageFrame{NextOffset: -1}, err
 	}
 	frame, err := parsePageFrame(hdr)

@@ -2,9 +2,12 @@ package httpsig
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -157,27 +160,140 @@ func TestVerifyRejectsBadTimestampHeader(t *testing.T) {
 	}
 }
 
+// TestNonceSweep: a remembered nonce is refused while its timestamp can
+// still be accepted, and its bucket is dropped whole — no sweep — when a
+// timestamp one full ring newer needs the slot.
 func TestNonceSweep(t *testing.T) {
 	v := testVerifier()
-	base := time.Now()
-	if err := v.rememberNonce("p/n1", base); err != nil {
+	ts := time.Now().Unix()
+	if err := v.replays.admit("p", ts, "n1"); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate inside the horizon is a replay.
-	if err := v.rememberNonce("p/n1", base.Add(time.Second)); !errors.Is(err, ErrReplay) {
+	if err := v.replays.admit("p", ts, "n1"); !errors.Is(err, ErrReplay) {
 		t.Fatalf("err = %v", err)
 	}
-	// A nonce arriving after the horizon sweeps expired entries and the
-	// old nonce becomes acceptable again (its signature timestamp would be
-	// rejected by the skew check anyway).
-	if err := v.rememberNonce("p/n2", base.Add(MaxSkew+time.Second)); err != nil {
+	// The same nonce under another pairing or timestamp is a new triple.
+	if err := v.replays.admit("q", ts, "n1"); err != nil {
 		t.Fatal(err)
 	}
-	v.mu.Lock()
-	n := len(v.nonces)
-	v.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("old nonce not swept: %d entries", n)
+	if err := v.replays.admit("p", ts+1, "n1"); err != nil {
+		t.Fatal(err)
+	}
+	newer := ts + replayBuckets*bucketSeconds
+	if err := v.replays.admit("p", newer, "n2"); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, b := range v.replays.buckets {
+		held += len(b.keys)
+	}
+	if held != 1 {
+		t.Fatalf("old bucket not dropped: %d keys held", held)
+	}
+	// By then ts is far outside the window; the filter says so rather
+	// than admitting what it can no longer check.
+	if err := v.replays.admit("p", ts, "n1"); !errors.Is(err, ErrSkew) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestReplayAheadOfClock: a request signed by a Host whose clock runs four
+// minutes fast is accepted, and must still be refused as a replay 5m1s
+// later — its timestamp is then only 1m1s behind the verifier's clock. A
+// filter that forgets a nonce MaxSkew after it arrived admits it.
+func TestReplayAheadOfClock(t *testing.T) {
+	v := testVerifier()
+	arrival := time.Now().Add(-4 * time.Minute)
+	v.SetClock(func() time.Time { return arrival })
+	req := signedRequest(t, http.MethodPost, "/api/decision", "x")
+	if _, err := v.Verify(req); err != nil {
+		t.Fatal(err)
+	}
+	v.SetClock(func() time.Time { return arrival.Add(MaxSkew + time.Second) })
+	req.Body = io.NopCloser(strings.NewReader("x"))
+	if _, err := v.Verify(req); !errors.Is(err, ErrReplay) {
+		t.Fatalf("replay 5m1s after arrival: err = %v, want ErrReplay", err)
+	}
+}
+
+// TestReplayFilterHoldsNoPointers: the filter's entries are pointer-free,
+// so the garbage collector never scans the millions a busy window holds.
+func TestReplayFilterHoldsNoPointers(t *testing.T) {
+	m := reflect.TypeOf(replayBucket{}.keys)
+	for _, typ := range []reflect.Type{m.Key(), m.Elem()} {
+		if hasPointers(typ) {
+			t.Errorf("replay filter entry type %v holds a pointer", typ)
+		}
+	}
+}
+
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
+}
+
+// TestVerifyFreshNonceAllocates: verifying a fresh request — the MAC, the
+// canonical string, the filter's key and entry — allocates nothing beyond
+// the filter's amortised map growth.
+func TestVerifyFreshNonceAllocates(t *testing.T) {
+	v := testVerifier()
+	const runs = 1000
+	reqs := make([]*http.Request, runs+1)
+	body := []byte(`{"realm":"travel"}`)
+	for i := range reqs {
+		reqs[i] = signedRequest(t, http.MethodPost, "/api/decision", string(body))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := v.VerifyBody(reqs[i], testSecret, body); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("VerifyBody: %v allocs per fresh request, want 0", n)
+	}
+}
+
+// TestSignBodyAllocations: signing allocates the header values (two
+// allocations) and nothing else; the race detector adds one for the random
+// bytes.
+func TestSignBodyAllocations(t *testing.T) {
+	req, _ := http.NewRequest(http.MethodPost, "http://am.example/api/decision", nil)
+	body := []byte(`{"realm":"travel"}`)
+	if n := testing.AllocsPerRun(100, func() { SignBody(req, testPairing, testSecret, body) }); n > 3 {
+		t.Fatalf("SignBody: %v allocs, want <= 3", n)
+	}
+}
+
+// TestMACIsHMACSHA256: the stack-built MAC is crypto/hmac's, for secrets
+// shorter and longer than a block.
+func TestMACIsHMACSHA256(t *testing.T) {
+	for _, secret := range []string{"", "k", testSecret, strings.Repeat("s", 64), strings.Repeat("long", 40)} {
+		for _, path := range []string{"/v1/api/decision", "/" + strings.Repeat("p", 300)} {
+			body := []byte("body")
+			ts := int64(1700000000)
+			h := sha256.Sum256(body)
+			m := hmac.New(sha256.New, []byte(secret))
+			m.Write(appendCanonical(nil, http.MethodPost, path, h[:], ts, "n-1"))
+			got := mac(secret, http.MethodPost, path, body, ts, "n-1")
+			if !hmac.Equal(got[:], m.Sum(nil)) {
+				t.Fatalf("secret %q path len %d: mac differs from crypto/hmac", secret, len(path))
+			}
+		}
 	}
 }
 

@@ -484,9 +484,9 @@ type CheckResult struct {
 // ?token= query parameter (for browser redirects back from the AM).
 func ExtractToken(r *http.Request) (string, bool) {
 	if h := r.Header.Get("Authorization"); h != "" {
-		parts := strings.SplitN(h, " ", 2)
-		if len(parts) == 2 && (strings.EqualFold(parts[0], TokenScheme) || strings.EqualFold(parts[0], "Bearer")) {
-			return strings.TrimSpace(parts[1]), parts[1] != ""
+		scheme, tok, ok := strings.Cut(h, " ")
+		if ok && (strings.EqualFold(scheme, TokenScheme) || strings.EqualFold(scheme, "Bearer")) {
+			return strings.TrimSpace(tok), tok != ""
 		}
 	}
 	if t := r.URL.Query().Get(core.ParamToken); t != "" {
@@ -505,15 +505,19 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 	}
 	tok, ok := ExtractToken(r)
 	if !ok {
-		e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
-			"refer-to-am", string(res))
+		if e.tracer != nil {
+			e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
+				"refer-to-am", string(res))
+		}
 		return CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL}, nil
 	}
 
 	key := cacheKey(tok, res, action)
 	if decision, ok := e.cache.get(key); ok {
-		e.trace(core.PhaseSubsequentAccess, "host:"+string(e.host), "host:"+string(e.host),
-			"enforce-cached", fmt.Sprintf("%s %s=%v", res, action, decision))
+		if e.tracer != nil {
+			e.trace(core.PhaseSubsequentAccess, "host:"+string(e.host), "host:"+string(e.host),
+				"enforce-cached", fmt.Sprintf("%s %s=%v", res, action, decision))
+		}
 		verdict := VerdictDeny
 		if decision {
 			verdict = VerdictAllow
@@ -537,8 +541,10 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		// lands while the response is in flight, the decision may predate
 		// the policy change and must not be written back.
 		gen := e.cache.Gen()
-		e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-			"decision-query-sent", string(res))
+		if e.tracer != nil {
+			e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
+				"decision-query-sent", string(res))
+		}
 		d, err := e.amFor(p).Decide(q)
 		if err != nil {
 			return core.DecisionResponse{}, fmt.Errorf("pep: decision query: %w", err)
@@ -558,8 +564,10 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		// The token itself is bad (expired, forged, out of scope): refer
 		// the Requester back to the AM for a fresh one rather than
 		// answering with a terminal deny.
-		e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
-			"refer-to-am", "token problem: "+dec.Reason)
+		if e.tracer != nil {
+			e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
+				"refer-to-am", "token problem: "+dec.Reason)
+		}
 		return CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL, Reason: dec.Reason}, nil
 	}
 	verdict := VerdictDeny
@@ -591,8 +599,10 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 	results := make([]CheckResult, len(pairs))
 	tok, ok := ExtractToken(r)
 	if !ok {
-		e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
-			"refer-to-am", fmt.Sprintf("batch of %d", len(pairs)))
+		if e.tracer != nil {
+			e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
+				"refer-to-am", fmt.Sprintf("batch of %d", len(pairs)))
+		}
 		for i := range results {
 			results[i] = CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL}
 		}
@@ -600,13 +610,18 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 	}
 
 	// First pass: answer from the cache, collect the distinct misses.
-	missIdx := make(map[entryKey][]int) // cache key -> result indexes
-	var items []core.BatchDecisionItem
-	var keys []entryKey // keys[j] is items[j]'s cache key
+	// item[i] is the index into items of the query answering pairs[i], -1
+	// for a cache hit; a pair repeating an earlier miss shares its item.
+	var (
+		items []core.BatchDecisionItem
+		keys  []entryKey // keys[j] is items[j]'s cache key
+		item  = make([]int, len(pairs))
+		first = make(map[entryKey]int, len(pairs)) // cache key -> its item
+	)
 	for i, pr := range pairs {
 		key := cacheKey(tok, pr.Resource, pr.Action)
-		if idx, dup := missIdx[key]; dup {
-			missIdx[key] = append(idx, i)
+		if j, dup := first[key]; dup {
+			item[i] = j
 			continue
 		}
 		if decision, ok := e.cache.get(key); ok {
@@ -615,9 +630,14 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 				verdict = VerdictAllow
 			}
 			results[i] = CheckResult{Verdict: verdict, CacheHit: true}
+			item[i] = -1
 			continue
 		}
-		missIdx[key] = []int{i}
+		if items == nil {
+			items = make([]core.BatchDecisionItem, 0, len(pairs)-i)
+			keys = make([]entryKey, 0, len(pairs)-i)
+		}
+		item[i], first[key] = len(items), len(items)
 		items = append(items, core.BatchDecisionItem{
 			Realm:    realm,
 			Resource: pr.Resource,
@@ -632,6 +652,7 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 	// Second pass: one signed round-trip resolves every miss — chunked to
 	// the AM's batch limit, so a page wider than MaxBatchDecisionItems
 	// still resolves (in ceil(n/max) round-trips) instead of erroring.
+	answers := make([]CheckResult, len(items))
 	for start := 0; start < len(items); start += core.MaxBatchDecisionItems {
 		end := min(start+core.MaxBatchDecisionItems, len(items))
 		chunk := items[start:end]
@@ -642,8 +663,10 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 			Items:     chunk,
 		}
 		gen := e.cache.Gen()
-		e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-			"decision-batch-sent", fmt.Sprintf("%d items", len(chunk)))
+		if e.tracer != nil {
+			e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
+				"decision-batch-sent", fmt.Sprintf("%d items", len(chunk)))
+		}
 		resp, err := e.amFor(p).DecideBatch(q)
 		if err != nil {
 			return nil, fmt.Errorf("pep: batch decision query: %w", err)
@@ -652,9 +675,8 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 			return nil, fmt.Errorf("pep: batch decision answered %d of %d items",
 				len(resp.Results), len(chunk))
 		}
-		for j, item := range chunk {
+		for j, it := range chunk {
 			res := resp.Results[j]
-			key := keys[start+j]
 			var cr CheckResult
 			switch {
 			case res.Error != "":
@@ -665,7 +687,7 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 				cr = CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL, Reason: res.Reason}
 			default:
 				if res.CacheTTLSeconds > 0 {
-					e.cache.put(key, EntryScope{Owner: owner, Realm: realm, Resource: item.Resource},
+					e.cache.put(keys[start+j], EntryScope{Owner: owner, Realm: realm, Resource: it.Resource},
 						res.Permit(), res.CacheTTLSeconds, gen, true)
 				}
 				verdict := VerdictDeny
@@ -674,9 +696,12 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 				}
 				cr = CheckResult{Verdict: verdict, Reason: res.Reason}
 			}
-			for _, i := range missIdx[key] {
-				results[i] = cr
-			}
+			answers[start+j] = cr
+		}
+	}
+	for i, j := range item {
+		if j >= 0 {
+			results[i] = answers[j]
 		}
 	}
 	return results, nil

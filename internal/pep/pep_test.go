@@ -147,6 +147,27 @@ func TestCheckWithoutPairing(t *testing.T) {
 	}
 }
 
+// TestCachedCheckAllocatesNothing: the Section V.B.6 fast path — a Check
+// answered from the decision cache — allocates nothing when no tracer is
+// set.
+func TestCachedCheckAllocatesNothing(t *testing.T) {
+	e := New(Config{Host: "webpics"})
+	e.SetRealmPairing("bob", "travel", Pairing{AMURL: "http://am.example", PairingID: "pair-1", Secret: "s"})
+	r, _ := http.NewRequest(http.MethodGet, "http://h/res/x", nil)
+	r.Header.Set("Authorization", "UMAC tok123")
+	e.cache.put(cacheKey("tok123", "x", core.ActionRead), EntryScope{Owner: "bob", Realm: "travel", Resource: "x"},
+		true, 60, e.cache.Gen(), true)
+	check := func() {
+		res, err := e.Check(r, "bob", "travel", "x", core.ActionRead)
+		if err != nil || res.Verdict != VerdictAllow || !res.CacheHit {
+			t.Fatalf("Check = %+v, %v; want a cached allow", res, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, check); n != 0 {
+		t.Fatalf("cached Check: %v allocs, want 0", n)
+	}
+}
+
 func TestBeginPairingURL(t *testing.T) {
 	e := New(Config{Host: "webpics", Name: "WebPics", BaseURL: "http://pics.example"})
 	u := e.BeginPairing("http://am.example/", "bob")

@@ -1,6 +1,10 @@
 package policy
 
-import "umac/internal/core"
+import (
+	"strconv"
+
+	"umac/internal/core"
+)
 
 // This file is the compiled form of a policy: a per-action candidate-rule
 // index built once per policy version, so the decision path walks only the
@@ -24,12 +28,21 @@ import "umac/internal/core"
 type CompiledPolicy struct {
 	p *Policy
 	// byAction maps every action named explicitly by any rule to the
-	// ordered indices of all rules covering it (explicit or wildcard).
-	byAction map[core.Action][]int
+	// ordered indices of all rules covering it (explicit or wildcard),
+	// with each rule's decision Reason for that action.
+	byAction map[core.Action]candidateSet
 	// wildcard is the ordered indices of rules with an empty action list;
 	// it is the candidate set for actions no rule names explicitly.
 	// Always non-nil, so candidates never returns the scan-all sentinel.
 	wildcard []int
+}
+
+// candidateSet is one action's candidate rules and, position for
+// position, the Reason each gives when it decides: built once here
+// instead of once per decision.
+type candidateSet struct {
+	rules   []int
+	reasons []string
 }
 
 // Compile builds the action index for p. Compile(nil) returns nil, so
@@ -40,7 +53,7 @@ func Compile(p *Policy) *CompiledPolicy {
 	}
 	c := &CompiledPolicy{
 		p:        p,
-		byAction: make(map[core.Action][]int),
+		byAction: make(map[core.Action]candidateSet),
 		wildcard: make([]int, 0, len(p.Rules)),
 	}
 	for i := range p.Rules {
@@ -48,17 +61,18 @@ func Compile(p *Policy) *CompiledPolicy {
 			c.wildcard = append(c.wildcard, i)
 		}
 		for _, a := range p.Rules[i].Actions {
-			c.byAction[a] = nil // mark; filled below in rule order
+			c.byAction[a] = candidateSet{} // mark; filled below in rule order
 		}
 	}
 	for a := range c.byAction {
-		list := make([]int, 0, len(p.Rules))
+		set := candidateSet{rules: make([]int, 0, len(p.Rules))}
 		for i := range p.Rules {
 			if p.Rules[i].coversAction(a) {
-				list = append(list, i)
+				set.rules = append(set.rules, i)
+				set.reasons = append(set.reasons, ruleReason(p, i, a))
 			}
 		}
-		c.byAction[a] = list
+		c.byAction[a] = set
 	}
 	return c
 }
@@ -69,11 +83,11 @@ func (c *CompiledPolicy) Source() *Policy { return c.p }
 // candidates returns the ordered rule indices that cover a. The result is
 // never nil (nil is polRef's scan-all sentinel); it is empty when no rule
 // covers the action.
-func (c *CompiledPolicy) candidates(a core.Action) []int {
-	if list, ok := c.byAction[a]; ok {
-		return list
+func (c *CompiledPolicy) candidates(a core.Action) candidateSet {
+	if set, ok := c.byAction[a]; ok {
+		return set
 	}
-	return c.wildcard
+	return candidateSet{rules: c.wildcard}
 }
 
 // polRef is the evaluation core's view of one policy: the policy itself
@@ -84,6 +98,9 @@ func (c *CompiledPolicy) candidates(a core.Action) []int {
 type polRef struct {
 	p    *Policy
 	cand []int
+	// reasons[k] is cand[k]'s Reason when compiled for the action; nil
+	// means build it at decision time.
+	reasons []string
 }
 
 // scanRef wraps a plain policy for the scan path; nil stays "no policy".
@@ -94,7 +111,8 @@ func compiledRef(c *CompiledPolicy, a core.Action) polRef {
 	if c == nil {
 		return polRef{}
 	}
-	return polRef{p: c.p, cand: c.candidates(a)}
+	set := c.candidates(a)
+	return polRef{p: c.p, cand: set.rules, reasons: set.reasons}
 }
 
 // ruleCount is the number of candidate rules this evaluation will visit.
@@ -112,6 +130,38 @@ func (r polRef) ruleAt(k int) (int, *Rule) {
 		i = r.cand[k]
 	}
 	return i, &r.p.Rules[i]
+}
+
+// reason is the Reason the rule at visit position k gives when it decides
+// a request for action a.
+func (r polRef) reason(k int, a core.Action) string {
+	if r.reasons != nil {
+		return r.reasons[k]
+	}
+	i, _ := r.ruleAt(k)
+	return ruleReason(r.p, i, a)
+}
+
+// ruleReason is the audit Reason of rule i of p deciding a request for a,
+// "rule 3 permits read (deny-overrides)". Under the overrides algorithms a
+// rule that is not a deny counts as a permit; first-applicable names the
+// rule's own effect.
+func ruleReason(p *Policy, i int, a core.Action) string {
+	effect := p.Rules[i].Effect
+	if c := p.combining(); c != CombineFirstApplicable && effect != EffectDeny {
+		effect = EffectPermit
+	}
+	b := make([]byte, 0, 48+len(a))
+	b = append(b, "rule "...)
+	b = strconv.AppendInt(b, int64(i), 10)
+	b = append(b, ' ')
+	b = append(b, effect.String()...)
+	b = append(b, "s "...)
+	b = append(b, a...)
+	b = append(b, " ("...)
+	b = append(b, p.combining()...)
+	b = append(b, ')')
+	return string(b)
 }
 
 // covers reports whether the rule applies to the action; pre-filtered

@@ -261,7 +261,7 @@ func TestCompiledCandidatesCoverExactly(t *testing.T) {
 					want = append(want, i)
 				}
 			}
-			got := c.candidates(a)
+			got := c.candidates(a).rules
 			if len(got) != len(want) {
 				t.Fatalf("trial %d action %s: candidates %v want %v", trial, a, got, want)
 			}

@@ -159,22 +159,22 @@ func (e *Engine) evalPolicy(req Request, ref polRef) Result {
 func (e *Engine) evalOverrides(req Request, ref polRef, permitWins bool) Result {
 	p := ref.p
 	res := Result{Decision: core.DecisionUnknown, CacheTTLSeconds: p.CacheTTLSeconds}
-	permitted, denied := -1, -1
+	permitted, denied := -1, -1 // visit positions of the first satisfied permit and deny
 	for k := 0; k < ref.ruleCount(); k++ {
-		i, rule := ref.ruleAt(k)
+		_, rule := ref.ruleAt(k)
 		if !ref.covers(rule, req.Action) || !e.subjectsMatch(req, p.Owner, rule.Subjects) {
 			continue
 		}
 		ok, obligations := e.conditionsMet(req, rule.Conditions)
 		if rule.Effect == EffectDeny {
 			if ok && denied < 0 {
-				denied = i
+				denied = k
 			}
 			continue
 		}
 		if ok {
 			if permitted < 0 {
-				permitted = i
+				permitted = k
 			}
 			continue
 		}
@@ -184,10 +184,10 @@ func (e *Engine) evalOverrides(req Request, ref polRef, permitWins bool) Result 
 		}
 		res.RequiredTerms = append(res.RequiredTerms, obligations.missingClaims...)
 	}
-	winner := func(idx int, effect Effect) Result {
+	winner := func(k int, effect Effect) Result {
 		return Result{
-			Decision:        map[Effect]core.Decision{EffectPermit: core.DecisionPermit, EffectDeny: core.DecisionDeny}[effect],
-			Reason:          fmt.Sprintf("rule %d %ss %s (%s)", idx, effect, req.Action, p.combining()),
+			Decision:        effect.decision(),
+			Reason:          ref.reason(k, req.Action),
 			CacheTTLSeconds: p.CacheTTLSeconds,
 		}
 	}
@@ -216,7 +216,7 @@ func (e *Engine) evalFirstApplicable(req Request, ref polRef) Result {
 	p := ref.p
 	res := Result{Decision: core.DecisionUnknown, CacheTTLSeconds: p.CacheTTLSeconds}
 	for k := 0; k < ref.ruleCount(); k++ {
-		i, rule := ref.ruleAt(k)
+		_, rule := ref.ruleAt(k)
 		if !ref.covers(rule, req.Action) || !e.subjectsMatch(req, p.Owner, rule.Subjects) {
 			continue
 		}
@@ -228,7 +228,7 @@ func (e *Engine) evalFirstApplicable(req Request, ref polRef) Result {
 			}
 			return Result{
 				Decision:        decision,
-				Reason:          fmt.Sprintf("rule %d %ss %s (first-applicable)", i, rule.Effect, req.Action),
+				Reason:          ref.reason(k, req.Action),
 				CacheTTLSeconds: p.CacheTTLSeconds,
 			}
 		}

@@ -81,6 +81,14 @@ func (e Effect) String() string {
 	}
 }
 
+// decision is the engine outcome of a rule with this effect winning.
+func (e Effect) decision() core.Decision {
+	if e == EffectPermit {
+		return core.DecisionPermit
+	}
+	return core.DecisionDeny
+}
+
 // MarshalText encodes the effect for JSON/XML.
 func (e Effect) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
 

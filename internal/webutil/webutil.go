@@ -3,9 +3,11 @@
 package webutil
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -14,8 +16,49 @@ import (
 	"umac/internal/core"
 )
 
-// MaxBodyBytes bounds request bodies accepted by ReadJSON.
+// MaxBodyBytes bounds request bodies accepted by ReadJSON and ReadBody.
 const MaxBodyBytes = 4 << 20 // 4 MiB
+
+// ReadBody appends r's body to dst and returns the result. It reads at most
+// MaxBodyBytes+1 bytes: a longer body (or a declared Content-Length over the
+// cap) is refused with *http.MaxBytesError, which Fail answers with
+// request_too_large, and the rest is never read.
+func ReadBody(dst []byte, r *http.Request) ([]byte, error) {
+	if r.Body == nil || r.Body == http.NoBody {
+		return dst, nil
+	}
+	return AppendBody(dst, r.Body, r.ContentLength)
+}
+
+// AppendBody is ReadBody for any body stream; length is its declared
+// length, or -1 when unknown.
+func AppendBody(dst []byte, body io.Reader, length int64) ([]byte, error) {
+	if length > MaxBodyBytes {
+		return dst, &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	if length > 0 && cap(dst)-len(dst) < int(length) {
+		dst = append(make([]byte, 0, len(dst)+int(length)), dst...)
+	}
+	start := len(dst)
+	lr := io.LimitedReader{R: body, N: MaxBodyBytes + 1}
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := lr.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
+	if len(dst)-start > MaxBodyBytes {
+		return dst, &http.MaxBytesError{Limit: MaxBodyBytes}
+	}
+	return dst, nil
+}
 
 // WriteJSON writes v as a JSON response with the given status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
@@ -223,15 +266,28 @@ func StatusFor(err error) int {
 // ReadJSON decodes the request body into v, rejecting oversized bodies and
 // trailing garbage.
 func ReadJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxBodyBytes))
+	return decodeStrict(json.NewDecoder(http.MaxBytesReader(nil, r.Body, MaxBodyBytes)), v)
+}
+
+// DecodeJSON is ReadJSON over a body already read (ReadBody).
+func DecodeJSON(body []byte, v any) error {
+	return decodeStrict(json.NewDecoder(bytes.NewReader(body)), v)
+}
+
+// decodeStrict decodes one value, refusing unknown fields and anything but
+// whitespace after the value.
+func decodeStrict(dec *json.Decoder, v any) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("webutil: decode body: %w", err)
 	}
-	if dec.More() {
-		return fmt.Errorf("webutil: trailing data after JSON body")
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return fmt.Errorf("webutil: decode body: %w", err)
 	}
-	return nil
+	return fmt.Errorf("webutil: trailing data after JSON body")
 }
 
 // ReadJSONLoose decodes without rejecting unknown fields (for
