@@ -10,6 +10,11 @@
 // machine-readable codes (or errors.Is against the core sentinels, which
 // APIError unwraps to) instead of string-matching response bodies.
 //
+// Every call leaves its connection reusable: the response body is read to
+// EOF (bounded) before it is closed, whether the method decodes the reply,
+// ignores it or fails on it, so a Client keeps one kept-alive connection
+// per concurrent caller instead of dialling per call.
+//
 // Against a replicated deployment, configure every node in
 // Config.Endpoints: the client fails over transparently on connection
 // errors, not_primary rejections (following the error's leader hint) and
@@ -352,7 +357,7 @@ func (c *Client) doOnce(base, method, path string, q url.Values, payload []byte,
 	if err != nil {
 		return fmt.Errorf("amclient: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
+	defer drainBody(resp.Body)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return decodeError(resp)
 	}
@@ -384,6 +389,16 @@ func (c *Client) doOnce(base, method, path string, q url.Values, payload []byte,
 
 // maxPooledResp caps the response buffers kept for reuse.
 const maxPooledResp = 64 << 10
+
+// drainBody reads what is left of a response body, up to maxErrorBody,
+// and closes it. The Transport reuses a connection only once its body has
+// been read to EOF; closing early drops it. A reply the caller ignores, or
+// the chunk terminator a json.Decoder stops short of, would otherwise cost
+// a fresh TCP connection on the next call.
+func drainBody(body io.ReadCloser) {
+	io.CopyN(io.Discard, body, maxErrorBody)
+	body.Close()
+}
 
 // get performs a GET decoding into out.
 func (c *Client) get(path string, q url.Values, out any) error {

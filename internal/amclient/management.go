@@ -65,7 +65,7 @@ func (c *Client) ExportPolicies(w io.Writer, owner core.UserID, format string) e
 	if err != nil {
 		return fmt.Errorf("amclient: GET /policies/export: %w", err)
 	}
-	defer resp.Body.Close()
+	defer drainBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		return decodeError(resp)
 	}

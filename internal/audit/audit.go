@@ -99,7 +99,14 @@ type Log struct {
 	file    *seglog.Log // nil = memory-only
 	base    string
 	closed  bool
-	failing bool   // the last write failed; the bytes stay buffered for retry
+	failing bool // the last write failed; the bytes stay buffered for retry
+	// failed is set once the segment file refuses appends for good (a
+	// poisoned seglog). From then on nothing is written or buffered:
+	// dropped counts the events whose write failed (still readable until
+	// restart; whether they reached disk is recovery's to find) and every
+	// event appended since (not kept at all).
+	failed  error
+	dropped int64
 	scratch []byte // payload encoding buffer
 }
 
@@ -271,6 +278,10 @@ func (l *Log) AppendBatch(events []Event) {
 }
 
 func (l *Log) appendLocked(e *Event, now time.Time) {
+	if l.failed != nil {
+		l.dropped++
+		return
+	}
 	l.seq++
 	e.Seq = l.seq
 	if e.Time.IsZero() {
@@ -301,13 +312,24 @@ func (l *Log) flush() {
 // writeLocked hands the active segment's buffered bytes to the segment
 // file in one write and seals the segment if that write rolled the file.
 // A failed write keeps the bytes buffered (and readable) for the next
-// flush to retry.
+// flush to retry, unless it left the segment file poisoned: then the log
+// has failed for good (see Log.failed).
 func (l *Log) writeLocked() {
 	a := l.active
-	if l.file == nil || l.closed || a == nil || len(a.mem) == 0 {
+	if l.file == nil || l.closed || l.failed != nil || a == nil || len(a.mem) == 0 {
 		return
 	}
 	if err := l.file.AppendBatch(a.mem); err != nil {
+		if l.file.IsClosed() {
+			l.failed = err
+			seglog.Scan(bytes.NewReader(a.mem), int64(len(a.mem)), func([]byte) bool {
+				l.dropped++
+				return true
+			})
+			log.Printf("audit: %v (the audit log cannot be written again until restart: "+
+				"%d events may be lost and every later one is dropped, counted in healthz audit.dropped)", err, l.dropped)
+			return
+		}
 		if !l.failing {
 			log.Printf("audit: %v (events stay buffered; retrying each flush)", err)
 		}
@@ -587,11 +609,15 @@ func (l *Log) countLocked() int64 {
 
 // Health reports the log's size: retained events and bytes, segment count
 // and the oldest retained sequence number (it moves when retention drops a
-// segment). The pipeline fields are the caller's to fill.
+// segment), and, once its segment file has failed for good, the error and
+// the events dropped since. The pipeline fields are the caller's to fill.
 func (l *Log) Health() core.AuditHealth {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	h := core.AuditHealth{Events: int(l.countLocked()), Bytes: l.bytesLocked(), Segments: len(l.sealed)}
+	h := core.AuditHealth{Events: int(l.countLocked()), Bytes: l.bytesLocked(), Segments: len(l.sealed), Dropped: l.dropped}
+	if l.failed != nil {
+		h.Failed = l.failed.Error()
+	}
 	if l.active != nil {
 		h.Segments++
 	}

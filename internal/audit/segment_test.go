@@ -238,6 +238,55 @@ func TestFileLogBuffersUntilFlushOrClose(t *testing.T) {
 	}
 }
 
+// TestFailedSegmentFileIsTerminal: once the segment file refuses appends
+// for good (a poisoned seglog), the log stops writing and buffering. Later
+// events are dropped and counted instead of piling up in memory, and
+// Health reports the failure. The failure here is a real one: the next
+// segment's path is taken by a directory, so sealing the first segment
+// cannot open its successor.
+func TestFailedSegmentFileIsTerminal(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "audit")
+	l, err := open(base, 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(seglog.SegmentPath(base, 2), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; l.Health().Failed == ""; i++ {
+		if i == 1000 {
+			t.Fatal("a segment roll that cannot open the next segment never failed the log")
+		}
+		l.Append(decision("bob", "webpics", "browser", "permit"))
+	}
+	before := l.Health()
+	if before.Dropped < 1 {
+		t.Fatalf("the event whose write failed is not counted as dropped: %+v", before)
+	}
+	events := make([]Event, 100)
+	for i := range events {
+		events[i] = decision("bob", "webpics", "browser", "permit")
+	}
+	for range 100 {
+		l.AppendBatch(events)
+		l.flush()
+	}
+	after := l.Health()
+	if after.Bytes != before.Bytes || after.Events != before.Events {
+		t.Fatalf("a failed log kept growing: %d events / %d bytes, then %d / %d",
+			before.Events, before.Bytes, after.Events, after.Bytes)
+	}
+	if after.Dropped != before.Dropped+100*100 {
+		t.Fatalf("dropped = %d, want %d", after.Dropped, before.Dropped+100*100)
+	}
+	if !strings.Contains(after.Failed, "roll") {
+		t.Fatalf("Failed = %q, want the roll error", after.Failed)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close of a failed log: %v", err)
+	}
+}
+
 // TestPipelineWritesWithinFlushInterval: with neither Flush nor Close, the
 // pipeline's tick puts every appended event on disk — the durability
 // window a process kill is allowed to lose.

@@ -328,14 +328,20 @@ type StoreHealth struct {
 // AuditHealth reports the audit log and its asynchronous pipeline; Depth
 // persistently near Cap means the log writer is the bottleneck. Events,
 // Bytes and Segments describe what retention currently keeps; OldestSeq
-// moves forward each time retention deletes the oldest segment.
+// moves forward each time retention deletes the oldest segment. Failed is
+// set once the log's segment file has failed for good (a failed fsync or
+// an unrecoverable write); Dropped then counts the events whose write
+// failed and every event recorded since, which is not kept. A restart is
+// the only recovery.
 type AuditHealth struct {
-	Events        int   `json:"events"`
-	PipelineDepth int   `json:"pipeline_depth"`
-	PipelineCap   int   `json:"pipeline_capacity"`
-	Bytes         int64 `json:"bytes"`
-	Segments      int   `json:"segments"`
-	OldestSeq     int64 `json:"oldest_seq"`
+	Events        int    `json:"events"`
+	PipelineDepth int    `json:"pipeline_depth"`
+	PipelineCap   int    `json:"pipeline_capacity"`
+	Bytes         int64  `json:"bytes"`
+	Segments      int    `json:"segments"`
+	OldestSeq     int64  `json:"oldest_seq"`
+	Dropped       int64  `json:"dropped"`
+	Failed        string `json:"failed,omitempty"`
 }
 
 // AbuseHealth is the rate-limiter gauge block on /v1/healthz and

@@ -178,7 +178,8 @@ type Log struct {
 	active      *os.File
 	activeIndex int
 	activeSize  int64
-	closed      bool
+	closed      bool // Close was called
+	poisoned    bool // an unrecoverable write failure; appends fail
 }
 
 // Open opens the segmented log rooted at base (creating segment 1 if the
@@ -262,11 +263,13 @@ func Open(base string, o Options, replay func(payload []byte) bool) (*Log, error
 
 // AppendBatch writes buf — whole framed records — with a single write(2)
 // and, when Fsync is on, a single Sync. On success the active segment is
-// sealed and rolled if it crossed the size limit.
+// sealed and rolled if it crossed the size limit. A failed write is
+// rewound to the last record boundary; a failed Sync poisons the log, so
+// every later append fails with ErrClosed.
 func (l *Log) AppendBatch(buf []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed || l.poisoned {
 		return ErrClosed
 	}
 	if _, err := l.active.Write(buf); err != nil {
@@ -275,14 +278,20 @@ func (l *Log) AppendBatch(buf []byte) error {
 		// boundary; if even that fails, poison the log so writes fail
 		// loudly instead of silently losing durability.
 		if l.active.Truncate(l.activeSize) != nil {
-			l.closed = true
+			l.poisoned = true
 		} else if _, serr := l.active.Seek(l.activeSize, io.SeekStart); serr != nil {
-			l.closed = true
+			l.poisoned = true
 		}
 		return fmt.Errorf("seglog: append: %w", err)
 	}
 	if l.fsync {
 		if err := l.active.Sync(); err != nil {
+			// Fail-stop: after a failed fsync the kernel may already have
+			// dropped the dirty pages, so a later fsync can succeed without
+			// the data, and the batch's bytes sit past activeSize where a
+			// rewind cannot be trusted either. Poison the log; recovery
+			// decides what survived.
+			l.poisoned = true
 			return fmt.Errorf("seglog: sync: %w", err)
 		}
 	}
@@ -292,7 +301,7 @@ func (l *Log) AppendBatch(buf []byte) error {
 			// The batch is written but the log cannot take further appends
 			// coherently; poison it rather than risk appending to a
 			// half-sealed segment.
-			l.closed = true
+			l.poisoned = true
 			return err
 		}
 	}
@@ -327,7 +336,7 @@ func (l *Log) rollLocked() error {
 // Poison marks the log unusable so subsequent appends fail loudly.
 func (l *Log) Poison() {
 	l.mu.Lock()
-	l.closed = true
+	l.poisoned = true
 	l.mu.Unlock()
 }
 
@@ -335,7 +344,7 @@ func (l *Log) Poison() {
 func (l *Log) IsClosed() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.closed
+	return l.closed || l.poisoned
 }
 
 // TotalSize is the log's byte size across all segments.
@@ -398,7 +407,7 @@ func (l *Log) dropSealedLocked(n int) error {
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed || l.poisoned {
 		return ErrClosed
 	}
 	if err := l.dropSealedLocked(len(l.sealed)); err != nil {
@@ -418,7 +427,9 @@ func (l *Log) Reset() error {
 	return nil
 }
 
-// Close syncs and closes the active segment. Idempotent.
+// Close syncs and closes the active segment. Idempotent. A poisoned
+// log's segment is closed without a sync: what it holds is already
+// recovery's to judge.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -426,6 +437,13 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	if l.poisoned {
+		// A failed roll may have closed it already.
+		if err := l.active.Close(); err != nil && !errors.Is(err, os.ErrClosed) {
+			return fmt.Errorf("seglog: close: %w", err)
+		}
+		return nil
+	}
 	if err := l.active.Sync(); err != nil {
 		l.active.Close()
 		return fmt.Errorf("seglog: close sync: %w", err)

@@ -117,15 +117,18 @@ func (s *Store) flushPending() {
 			}
 		}
 		s.notifyLocked()
-	} else if s.pending == nil {
+	} else if s.pending == nil && !w.IsClosed() {
 		// The write was rewound and no writer claimed a later sequence
 		// number while the batch was in flight: roll the counter back so
 		// the numbers are reused, exactly like a failed single append.
 		s.nextSeq -= int64(len(b.recs))
 	} else {
-		// Writers already hold sequence numbers past the failed batch;
-		// reusing them would collide and skipping them would tear the
-		// replication stream. Poison the log so writes fail loudly.
+		// Either the log is already poisoned — a failed fsync, after which
+		// the batch's bytes may or may not survive a restart, so its
+		// sequence numbers must never be handed out again — or writers
+		// already hold sequence numbers past the failed batch; reusing
+		// them would collide and skipping them would tear the replication
+		// stream. Poison the log so writes fail loudly.
 		w.Poison()
 	}
 	s.walMu.Unlock()

@@ -15,6 +15,10 @@
 // acknowledged write. A store built with New (or the zero value) is
 // memory-only and skips the WAL entirely.
 //
+// Reads decode each stored version once: the first Get of a version
+// caches the decoded value beside the bytes and later reads copy it
+// (decoded.go).
+//
 // The WAL doubles as a replication log (replication.go): every mutation
 // carries a contiguous sequence number, a primary retains the recent tail
 // for followers to read in order (TailSince/ReplWatch), and followers
@@ -58,14 +62,17 @@ type Entity struct {
 	Key     string          `json:"key"`
 	Version int64           `json:"version"`
 	Data    json.RawMessage `json:"data"`
+
+	// val is Data decoded, once Get has read this version (decoded.go).
+	val any
 }
 
-// Decode unmarshals the entity's data into v.
+// Decode unmarshals the entity's data into v. When v has the type a Get
+// already decoded this version into, it receives a copy of that value
+// instead; the result is the same.
 func (e Entity) Decode(v any) error {
-	if err := json.Unmarshal(e.Data, v); err != nil {
-		return fmt.Errorf("store: decode %s/%s: %w", e.Kind, e.Key, err)
-	}
-	return nil
+	_, err := e.decodeInto(v)
+	return err
 }
 
 // shardCount is the number of lock stripes. Power of two so the shard index
@@ -312,7 +319,9 @@ func (s *Store) PutIfVersion(kind, key string, version int64, v any) (Entity, er
 	return e, nil
 }
 
-// Get retrieves (kind, key) and decodes it into v if v is non-nil.
+// Get retrieves (kind, key) and decodes it into v if v is non-nil. Each
+// version is decoded at most once: the first Get into a *T caches the
+// value and later ones copy it (decoded.go).
 func (s *Store) Get(kind, key string, v any) (Entity, error) {
 	sh := s.shardFor(kind, key)
 	sh.mu.RLock()
@@ -321,10 +330,21 @@ func (s *Store) Get(kind, key string, v any) (Entity, error) {
 	if !ok {
 		return Entity{}, fmt.Errorf("%w: %s/%s", ErrNotFound, kind, key)
 	}
-	if v != nil {
-		if err := e.Decode(v); err != nil {
-			return Entity{}, err
+	if v == nil {
+		return e, nil
+	}
+	fresh, err := e.decodeInto(v)
+	if err != nil {
+		return Entity{}, err
+	}
+	if fresh != nil {
+		e.val = fresh
+		sh.mu.Lock()
+		if cur, ok := sh.kinds[kind][key]; ok && sameBytes(cur, e) {
+			cur.val = fresh
+			sh.kinds[kind][key] = cur
 		}
+		sh.mu.Unlock()
 	}
 	return e, nil
 }
@@ -431,15 +451,10 @@ func (s *Store) Kinds() []string {
 func (s *Store) Update(kind, key string, decode any, fn func(exists bool) (any, error)) (Entity, error) {
 	for {
 		var version int64
-		e, err := s.Get(kind, key, nil)
+		e, err := s.Get(kind, key, decode)
 		exists := err == nil
 		if exists {
 			version = e.Version
-			if decode != nil {
-				if err := e.Decode(decode); err != nil {
-					return Entity{}, err
-				}
-			}
 		} else if !errors.Is(err, ErrNotFound) {
 			return Entity{}, err
 		}

@@ -3,6 +3,7 @@ package token
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -109,10 +110,87 @@ func TestValidateRejectsExpired(t *testing.T) {
 	if _, err := s.Validate(tok); err != nil {
 		t.Fatalf("valid token rejected: %v", err)
 	}
+	// The token is memoised now; the hit must still check expiry.
 	now = base.Add(2 * time.Minute)
 	if _, err := s.Validate(tok); !errors.Is(err, core.ErrTokenInvalid) {
 		t.Fatalf("expired token accepted: %v", err)
 	}
+}
+
+// TestValidateMemoIsBounded: each memo stripe holds the tokens most
+// recently added to it, at most memoSize/memoShards of them, and a token
+// evicted from it still validates (by the full check).
+func TestValidateMemoIsBounded(t *testing.T) {
+	s := newTestService()
+	perShard := map[*memoShard][]string{}
+	for range 4 * memoSize {
+		tok, _, err := s.Mint("gallery", "alice", "webpics", "travel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Validate(tok); err != nil {
+			t.Fatal(err)
+		}
+		perShard[s.shard(tok)] = append(perShard[s.shard(tok)], tok)
+	}
+	if len(perShard) != memoShards {
+		t.Fatalf("tokens spread over %d stripes, want %d", len(perShard), memoShards)
+	}
+	const keep = memoSize / memoShards
+	for m, toks := range perShard {
+		if len(m.m) != min(len(toks), keep) {
+			t.Fatalf("stripe holds %d of its %d tokens, bound %d", len(m.m), len(toks), keep)
+		}
+		for i, tok := range toks {
+			if _, held := m.m[tok]; held != (i >= len(toks)-keep) {
+				t.Fatalf("token %d of the %d in its stripe: memoised = %v", i, len(toks), held)
+			}
+		}
+	}
+	for m, toks := range perShard {
+		if len(toks) <= keep {
+			continue
+		}
+		if _, err := s.Validate(toks[0]); err != nil {
+			t.Fatalf("evicted token rejected: %v", err)
+		}
+		if _, held := m.m[toks[len(toks)-keep]]; held {
+			t.Fatal("re-adding an evicted token did not evict its stripe's oldest")
+		}
+		break
+	}
+}
+
+// TestValidateMemoConcurrent: goroutines validating overlapping tokens,
+// so hits, misses, double inserts and evictions race on the same stripes
+// (run under -race), all get each token's own claims.
+func TestValidateMemoConcurrent(t *testing.T) {
+	s := newTestService()
+	toks := make([]string, 2*memoSize)
+	ids := make([]string, len(toks))
+	for i := range toks {
+		tok, c, err := s.Mint("gallery", "alice", "webpics", "travel")
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks[i], ids[i] = tok, c.ID
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 * len(toks) {
+				k := (i*7 + g*131) % len(toks)
+				c, err := s.Validate(toks[k])
+				if err != nil || c.ID != ids[k] {
+					t.Errorf("token %d: claims %s, %v; want %s", k, c.ID, err, ids[k])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestRandomKeyServicesDiffer(t *testing.T) {
