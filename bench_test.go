@@ -2,7 +2,8 @@
 // paper (Figs. 1-6 — the paper's evaluation is qualitative, so each flow is
 // reproduced as a measured protocol execution on the in-process HTTP
 // substrate), plus the model-comparison and scaling experiments derived
-// from Sections III, V and VIII. EXPERIMENTS.md records the results.
+// from Sections III, V and VIII. docs/BENCHMARKS.md maps the committed
+// results (BENCH_*.json).
 //
 // Run with: go test -bench=. -benchmem
 package umac_test
@@ -233,7 +234,7 @@ func BenchmarkModelComparison(b *testing.B) {
 	b.Run("pull-per-access", func(b *testing.B) {
 		w, h := benchWorld(b, 1)
 		pairing, _ := h.Enforcer.PairingFor("bob")
-		pull := pullmodel.New(h.ID, nil, nil)
+		pull := pullmodel.New(h.ID, nil)
 		_ = w
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -251,7 +252,7 @@ func BenchmarkModelComparison(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		enf := umastate.New(h.ID, nil, nil)
+		enf := umastate.New(h.ID, nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ok, err := enf.Check(pairing, handle, "travel", "photo-0000", core.ActionRead)
@@ -484,8 +485,8 @@ func BenchmarkCrossHostPhotoLoad(b *testing.B) {
 	w := sim.NewWorld()
 	b.Cleanup(w.Close)
 
-	st := appstorage.New(appstorage.Config{HostID: "storage", Tracer: w.Tracer})
-	stSrv := httptest.NewServer(st.Handler())
+	st := appstorage.New(appstorage.Config{HostID: "storage"})
+	stSrv := w.Serve("storage", st.Handler())
 	b.Cleanup(stSrv.Close)
 	st.Enforcer.SetBaseURL(stSrv.URL)
 
@@ -825,7 +826,7 @@ func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 	b.Run(fmt.Sprintf("single-%d", n), func(b *testing.B) {
 		recordBench(b)
 		w, h, pairs, req := decisionBenchFixture(b, n)
-		w.ResetAMRequests()
+		w.ResetWire()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.Enforcer.Cache().Invalidate()
@@ -841,7 +842,7 @@ func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 	b.Run(fmt.Sprintf("batch-%d", n), func(b *testing.B) {
 		recordBench(b)
 		w, h, pairs, req := decisionBenchFixture(b, n)
-		w.ResetAMRequests()
+		w.ResetWire()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.Enforcer.Cache().Invalidate()
@@ -889,7 +890,7 @@ func BenchmarkDecisionScopedInvalidation(b *testing.B) {
 		}
 	}
 	warm()
-	w.ResetAMRequests()
+	w.ResetWire()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		coldPol.Name = fmt.Sprintf("cold-%d", i)

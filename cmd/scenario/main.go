@@ -1,8 +1,8 @@
 // Command scenario is the experiment driver: it executes the paper-derived
 // experiments E9 (protocol-model comparison) and E10 (consolidated audit)
-// on the in-process deployment and prints the tables recorded in
-// EXPERIMENTS.md. Timing-oriented experiments (E1-E8, E11-E12) live in the
-// testing.B harness (go test -bench).
+// on the in-process deployment and prints their tables (docs/BENCHMARKS.md
+// maps the repo's recorded experiments). Timing-oriented experiments
+// (E1-E8, E11-E12) live in the testing.B harness (go test -bench).
 //
 // Usage:
 //

@@ -29,7 +29,7 @@ func main() {
 	fmt.Println("Bob paired webpics with his AM")
 
 	// (2) Composing policies (Fig. 4): webpics registers the 'travel' realm
-	// and Bob composes a policy at the AM — here in the textual DSL.
+	// and Bob composes a policy at the AM's API — here in the textual DSL.
 	if err := host.Enforcer.Protect("bob", "travel", []umac.ResourceID{"sunset.jpg"}, ""); err != nil {
 		log.Fatal(err)
 	}
@@ -40,14 +40,15 @@ policy "friends-read" general {
 	if err != nil {
 		log.Fatal(err)
 	}
-	created, err := world.AM.CreatePolicy("bob", policies[0])
+	bobAM := world.Client("bob")
+	created, err := bobAM.CreatePolicy(policies[0])
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := world.AM.LinkGeneral("bob", "travel", created.ID); err != nil {
+	if err := bobAM.LinkGeneral("bob", "travel", created.ID); err != nil {
 		log.Fatal(err)
 	}
-	if err := world.AM.AddGroupMember("bob", "bob", "friends", "alice"); err != nil {
+	if _, err := bobAM.AddGroupMember("bob", "friends", "alice"); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Bob linked policy", created.ID, "to realm 'travel' and added alice to friends")
@@ -77,9 +78,10 @@ policy "friends-read" general {
 		fmt.Println("mallory denied:", err)
 	}
 
-	// The protocol trace (compare with Fig. 2 of the paper).
-	fmt.Println("\nProtocol trace:")
-	for _, e := range world.Tracer.Events() {
+	// Every HTTP request the AM and the Host received, in arrival order:
+	// the protocol of Fig. 2 as it crossed the wire.
+	fmt.Println("\nWire log (server method path status):")
+	for _, e := range world.Wire() {
 		fmt.Println(" ", e)
 	}
 }

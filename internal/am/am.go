@@ -94,7 +94,8 @@ type grantRecord struct {
 
 // Config configures an AM.
 type Config struct {
-	// Name identifies this AM in traces and redirects (e.g. "copmonkey").
+	// Name identifies this AM in health bodies, error messages and the
+	// comment line that opens each event stream (e.g. "copmonkey").
 	Name string
 	// BaseURL is the externally reachable URL of the AM, used in redirect
 	// legs. Set after the HTTP listener is bound.
@@ -117,8 +118,6 @@ type Config struct {
 	// Notifier delivers consent requests to users; nil means notifications
 	// are dropped (consent can still be resolved via the API).
 	Notifier Notifier
-	// Tracer records protocol events; nil disables tracing.
-	Tracer *core.Tracer
 	// Replication selects the node's role in a replicated deployment
 	// (primary streaming its WAL, or follower applying it and serving
 	// reads only). The zero value is a standalone AM.
@@ -152,7 +151,6 @@ type AM struct {
 	auditPipe *audit.Pipeline
 	auth      identity.Authenticator
 	notifier  Notifier
-	tracer    *core.Tracer
 	cacheTTL  time.Duration
 
 	// broker fans control-plane events (invalidation, consent,
@@ -243,7 +241,6 @@ func New(cfg Config) *AM {
 		audit:      auditLog,
 		auth:       auth,
 		notifier:   cfg.Notifier,
-		tracer:     cfg.Tracer,
 		cacheTTL:   cacheTTL,
 		replCfg:    cfg.Replication,
 		clusterCfg: cfg.Cluster,
@@ -325,11 +322,6 @@ func (a *AM) Audit() *audit.Log {
 // Store exposes the backing store (snapshots, tooling).
 func (a *AM) Store() *store.Store { return a.store }
 
-// trace records a protocol event if tracing is enabled.
-func (a *AM) trace(phase core.Phase, from, to, op, detail string) {
-	a.tracer.Record(phase, from, to, op, detail)
-}
-
 // --- Pairing (Fig. 3) ---
 
 // ApprovePairing registers the user's consent to delegate the Host's access
@@ -352,8 +344,6 @@ func (a *AM) ApprovePairing(req core.PairingRequest) (string, error) {
 	a.mu.Lock()
 	a.pending[code] = pendingPairing{req: req, expiresAt: time.Now().Add(pairingCodeTTL)}
 	a.mu.Unlock()
-	a.trace(core.PhaseDelegatingAccessControl, "user:"+string(req.User), "am:"+a.name,
-		"approve-pairing", string(req.Host))
 	return code, nil
 }
 
@@ -409,8 +399,6 @@ func (a *AM) ExchangeCode(code string, host core.HostID) (core.PairingResponse, 
 		Type: audit.EventPairingCreated, Owner: pairing.User, Host: pairing.Host,
 		Detail: pairing.ID,
 	})
-	a.trace(core.PhaseDelegatingAccessControl, "host:"+string(host), "am:"+a.name,
-		"exchange-code", pairing.ID)
 	return core.PairingResponse{
 		PairingID: pairing.ID,
 		Secret:    pairing.Secret,
@@ -575,8 +563,6 @@ func (a *AM) RegisterRealm(pairingID string, req core.ProtectRequest) (core.Prot
 		Type: audit.EventResourceLinked, Owner: owner, Host: p.Host,
 		Realm: req.Realm, Detail: fmt.Sprintf("%d resources", len(req.Resources)),
 	})
-	a.trace(core.PhaseComposingPolicies, "host:"+string(p.Host), "am:"+a.name,
-		"register-realm", string(req.Realm))
 	return core.ProtectResponse{Realm: req.Realm, Policy: req.Policy}, nil
 }
 

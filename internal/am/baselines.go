@@ -56,8 +56,6 @@ func (a *AM) PullDecide(pairingID string, q core.DecisionQuery, subject core.Use
 		decision = core.DecisionPermit
 	}
 	a.auditPipe.Enqueue(decisionEvent(realm, q, requester, decision, res.Reason+" (pull)"))
-	a.trace(core.PhaseObtainingDecision, "am:"+a.name, "host:"+string(q.Host),
-		"pull-decision", decision.String())
 	return core.DecisionResponse{
 		Decision:        decision.String(),
 		CacheTTLSeconds: 0, // pull model: transparent, stateless, uncacheable
@@ -110,8 +108,6 @@ func (a *AM) EstablishState(req core.TokenRequest) (string, error) {
 	if _, err := a.store.Put(kindAuthState, st.Handle, st); err != nil {
 		return "", fmt.Errorf("am: persist state: %w", err)
 	}
-	a.trace(core.PhaseObtainingToken, "am:"+a.name, "requester:"+string(req.Requester),
-		"state-established", st.Handle)
 	return st.Handle, nil
 }
 

@@ -150,8 +150,6 @@ func (a *AM) ResolveConsent(actor core.UserID, ticket string, approve bool) erro
 		Realm: t.req.Realm, Resource: t.req.Resource, Requester: t.req.Requester,
 		Detail: fmt.Sprintf("%s approve=%v", ticket, approve),
 	})
-	a.trace(core.PhaseObtainingToken, "user:"+string(actor), "am:"+a.name,
-		"consent-resolved", fmt.Sprintf("%s approve=%v", ticket, approve))
 	if !approve {
 		a.mu.Lock()
 		t.resolved = true

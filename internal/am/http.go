@@ -940,6 +940,4 @@ func (a *AM) handleComposePage(w http.ResponseWriter, r *http.Request, actor cor
 	b.WriteString("</ul><p>Link a policy via POST /v1/links/general.</p>")
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprint(w, b.String())
-	a.trace(core.PhaseComposingPolicies, "user:"+string(actor), "am:"+a.name,
-		"compose-page", realm)
 }

@@ -116,8 +116,6 @@ func (a *AM) CreatePolicy(actor core.UserID, p policy.Policy) (policy.Policy, er
 	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventPolicyCreated, Owner: p.Owner, Subject: actor, Detail: string(p.ID),
 	})
-	a.trace(core.PhaseComposingPolicies, "user:"+string(actor), "am:"+a.name,
-		"create-policy", string(p.ID))
 	// Links left dangling by an earlier delete resolve again once a policy
 	// re-appears under the same ID; caches holding the dangling (deny)
 	// outcome must hear about it.
@@ -329,8 +327,6 @@ func (a *AM) linkGeneralGated(owner core.UserID, realm core.RealmID, pid core.Po
 		Type: audit.EventResourceLinked, Owner: owner, Realm: realm,
 		Detail: "general policy " + string(pid),
 	})
-	a.trace(core.PhaseComposingPolicies, "user:"+string(owner), "am:"+a.name,
-		"link-general", fmt.Sprintf("%s -> %s", realm, pid))
 	a.pushInvalidation(owner, []core.RealmID{realm}, nil)
 	return nil
 }
@@ -359,8 +355,6 @@ func (a *AM) LinkSpecific(owner core.UserID, host core.HostID, res core.Resource
 		Type: audit.EventResourceLinked, Owner: owner, Host: host, Resource: res,
 		Detail: "specific policy " + string(pid),
 	})
-	a.trace(core.PhaseComposingPolicies, "user:"+string(owner), "am:"+a.name,
-		"link-specific", fmt.Sprintf("%s/%s -> %s", host, res, pid))
 	a.pushInvalidation(owner, nil, []core.ResourceID{res})
 	return nil
 }

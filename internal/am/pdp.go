@@ -24,8 +24,6 @@ import (
 //   - terms unsatisfied   → TokenResponse listing RequiredTerms;
 //   - deny                → core.ErrAccessDenied.
 func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
-	a.trace(core.PhaseObtainingToken, "requester:"+string(req.Requester), "am:"+a.name,
-		"token-request", fmt.Sprintf("%s/%s %s", req.Host, req.Realm, req.Action))
 	realm, err := a.LookupRealm(req.Host, req.Realm)
 	if err != nil {
 		return core.TokenResponse{}, err
@@ -44,8 +42,6 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 		if err != nil {
 			return core.TokenResponse{}, err
 		}
-		a.trace(core.PhaseObtainingToken, "am:"+a.name, "requester:"+string(req.Requester),
-			"consent-pending", ticket)
 		return core.TokenResponse{PendingConsent: ticket}, nil
 	case len(res.RequiredTerms) > 0:
 		a.auditPipe.Enqueue(audit.Event{
@@ -54,8 +50,6 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 			Subject: req.Subject, Action: req.Action,
 			Detail: fmt.Sprintf("terms required: %v", res.RequiredTerms),
 		})
-		a.trace(core.PhaseObtainingToken, "am:"+a.name, "requester:"+string(req.Requester),
-			"terms-required", fmt.Sprintf("%v", res.RequiredTerms))
 		return core.TokenResponse{RequiredTerms: dedupe(res.RequiredTerms)}, nil
 	default:
 		a.auditPipe.Enqueue(audit.Event{
@@ -63,8 +57,6 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 			Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 			Subject: req.Subject, Action: req.Action, Detail: res.Reason,
 		})
-		a.trace(core.PhaseObtainingToken, "am:"+a.name, "requester:"+string(req.Requester),
-			"token-refused", res.Reason)
 		return core.TokenResponse{}, fmt.Errorf("%w: %s", core.ErrAccessDenied, res.Reason)
 	}
 }
@@ -92,8 +84,6 @@ func (a *AM) grantToken(req core.TokenRequest, realm Realm, res policy.Result) (
 		Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
 		Subject: req.Subject, Action: req.Action, Detail: claims.ID,
 	})
-	a.trace(core.PhaseObtainingToken, "am:"+a.name, "requester:"+string(req.Requester),
-		"token-issued", claims.ID)
 	return core.TokenResponse{Token: tok, Realm: req.Realm, ExpiresAt: claims.ExpiresAt}, nil
 }
 
@@ -249,10 +239,6 @@ func (a *AM) Decide(pairingID string, q core.DecisionQuery) (core.DecisionRespon
 
 // decide is Decide for a pairing the caller has already read.
 func (a *AM) decide(pairing Pairing, q core.DecisionQuery) (core.DecisionResponse, error) {
-	if a.tracer != nil {
-		a.trace(core.PhaseObtainingDecision, "host:"+string(q.Host), "am:"+a.name,
-			"decision-query", fmt.Sprintf("%s/%s %s", q.Realm, q.Resource, q.Action))
-	}
 	if pairing.Host != q.Host {
 		return core.DecisionResponse{}, fmt.Errorf("am: pairing %s belongs to host %q, query claims %q",
 			pairing.ID, pairing.Host, q.Host)
@@ -287,10 +273,6 @@ func (a *AM) decideBatch(pairing Pairing, q core.BatchDecisionQuery) (core.Batch
 	if len(q.Items) > core.MaxBatchDecisionItems {
 		return core.BatchDecisionResponse{}, fmt.Errorf("am: batch of %d items exceeds limit %d",
 			len(q.Items), core.MaxBatchDecisionItems)
-	}
-	if a.tracer != nil {
-		a.trace(core.PhaseObtainingDecision, "host:"+string(q.Host), "am:"+a.name,
-			"decision-query-batch", fmt.Sprintf("%d items", len(q.Items)))
 	}
 	if pairing.Host != q.Host {
 		return core.BatchDecisionResponse{}, fmt.Errorf("am: pairing %s belongs to host %q, query claims %q",
@@ -388,10 +370,6 @@ func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResp
 	decision := core.DecisionDeny
 	if res.Decision == core.DecisionPermit {
 		decision = core.DecisionPermit
-	}
-	if a.tracer != nil {
-		a.trace(core.PhaseObtainingDecision, "am:"+a.name, "host:"+string(q.Host),
-			"decision-response", decision.String())
 	}
 	return core.DecisionResponse{
 		Decision:        decision.String(),

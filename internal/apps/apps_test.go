@@ -40,14 +40,14 @@ func newFixture(t *testing.T) *fixture {
 
 	// Cleanups run last-registered first: each app closes its invalidation
 	// streams before the AM server (registered above) is shut down.
-	st := storage.New(storage.Config{HostID: "storage", Tracer: w.Tracer})
-	stSrv := httptest.NewServer(st.Handler())
+	st := storage.New(storage.Config{HostID: "storage"})
+	stSrv := w.Serve("storage", st.Handler())
 	t.Cleanup(stSrv.Close)
 	t.Cleanup(func() { st.Close() })
 	st.Enforcer.SetBaseURL(stSrv.URL)
 
-	g := gallery.New(gallery.Config{HostID: "gallery", Tracer: w.Tracer})
-	gSrv := httptest.NewServer(g.Handler())
+	g := gallery.New(gallery.Config{HostID: "gallery"})
+	gSrv := w.Serve("gallery", g.Handler())
 	t.Cleanup(gSrv.Close)
 	t.Cleanup(func() { g.Close() })
 	g.Enforcer.SetBaseURL(gSrv.URL)

@@ -46,7 +46,6 @@ type App struct {
 type Config struct {
 	HostID core.HostID
 	Auth   identity.Authenticator
-	Tracer *core.Tracer
 	// PairingStore, when non-nil, persists AM pairings across restarts
 	// (pass a WAL-backed store for crash durability).
 	PairingStore *store.Store
@@ -65,8 +64,7 @@ func New(cfg Config) *App {
 	return &App{
 		HostID: hostID,
 		Enforcer: pep.New(pep.Config{
-			Host: hostID, Name: "Photo Gallery", Tracer: cfg.Tracer,
-			Store: cfg.PairingStore,
+			Host: hostID, Name: "Photo Gallery", Store: cfg.PairingStore,
 		}),
 		ACL:    &localacl.Matrix{},
 		Auth:   auth,

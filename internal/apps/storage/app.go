@@ -38,8 +38,6 @@ type Config struct {
 	HostID core.HostID
 	// Auth identifies browser users; nil means identity.HeaderAuth{}.
 	Auth identity.Authenticator
-	// Tracer records protocol events.
-	Tracer *core.Tracer
 	// PairingStore, when non-nil, persists AM pairings across restarts
 	// (pass a WAL-backed store for crash durability).
 	PairingStore *store.Store
@@ -58,8 +56,7 @@ func New(cfg Config) *App {
 	return &App{
 		HostID: hostID,
 		Enforcer: pep.New(pep.Config{
-			Host: hostID, Name: "Online Storage", Tracer: cfg.Tracer,
-			Store: cfg.PairingStore,
+			Host: hostID, Name: "Online Storage", Store: cfg.PairingStore,
 		}),
 		ACL:   &localacl.Matrix{},
 		Auth:  auth,

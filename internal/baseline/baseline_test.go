@@ -6,6 +6,8 @@ package baseline_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"umac/internal/baseline/pullmodel"
@@ -14,6 +16,25 @@ import (
 	"umac/internal/policy"
 	"umac/internal/sim"
 )
+
+// amExchanges lists the AM's wire log entries as "METHOD path status".
+func amExchanges(w *sim.World) []string {
+	var out []string
+	for _, e := range w.Wire() {
+		if e.Server == sim.AMServerName {
+			out = append(out, fmt.Sprintf("%s %s %d", e.Method, e.Path, e.Status))
+		}
+	}
+	return out
+}
+
+// expectAM compares the AM's wire log with want.
+func expectAM(t *testing.T, w *sim.World, want ...string) {
+	t.Helper()
+	if got := amExchanges(w); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("AM wire log = %q, want %q", got, want)
+	}
+}
 
 // setup builds a world where alice (friend) may read bob's travel realm.
 func setup(t *testing.T) (*sim.World, *sim.SimpleHost) {
@@ -49,7 +70,8 @@ func setup(t *testing.T) (*sim.World, *sim.SimpleHost) {
 func TestPullModelDecision(t *testing.T) {
 	w, h := setup(t)
 	pairing, _ := h.Enforcer.PairingFor("bob")
-	pull := pullmodel.New("webpics", nil, w.Tracer)
+	pull := pullmodel.New("webpics", nil)
+	w.ResetWire()
 
 	ok, err := pull.Check(pairing, "alice", "alice-browser", "travel", "photo-1", core.ActionRead)
 	if err != nil {
@@ -66,15 +88,16 @@ func TestPullModelDecision(t *testing.T) {
 		t.Fatal("mallory permitted in pull model")
 	}
 	// Every check is an AM round-trip: the defining pull-model property.
-	if got := w.Tracer.CountOp("pull-decision-query"); got != 2 {
-		t.Fatalf("pull queries = %d, want 2", got)
-	}
+	expectAM(t, w,
+		"POST /v1/api/decision/pull 200",
+		"POST /v1/api/decision/pull 200",
+	)
 }
 
 func TestPullModelUnknownRealm(t *testing.T) {
 	_, h := setup(t)
 	pairing, _ := h.Enforcer.PairingFor("bob")
-	pull := pullmodel.New("webpics", nil, nil)
+	pull := pullmodel.New("webpics", nil)
 	if _, err := pull.Check(pairing, "alice", "a", "ghosts", "photo-1", core.ActionRead); err == nil {
 		t.Fatal("unknown realm accepted")
 	}
@@ -84,6 +107,7 @@ func TestStateModelDecision(t *testing.T) {
 	w, h := setup(t)
 	pairing, _ := h.Enforcer.PairingFor("bob")
 
+	w.ResetWire()
 	rc := &umastate.RequesterClient{ID: "alice-browser", Subject: "alice"}
 	handle, err := rc.EstablishState(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
 	if err != nil {
@@ -93,7 +117,7 @@ func TestStateModelDecision(t *testing.T) {
 		t.Fatal("empty handle")
 	}
 
-	enf := umastate.New("webpics", nil, w.Tracer)
+	enf := umastate.New("webpics", nil)
 	ok, err := enf.Check(pairing, handle, "travel", "photo-1", core.ActionRead)
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +133,13 @@ func TestStateModelDecision(t *testing.T) {
 	if ok {
 		t.Fatal("forged handle permitted")
 	}
+	// State is established once at the AM; each Host check is one
+	// state-decision round-trip.
+	expectAM(t, w,
+		"POST /v1/state 200",
+		"POST /v1/api/decision/state 200",
+		"POST /v1/api/decision/state 200",
+	)
 }
 
 func TestStateEstablishmentDeniedForStranger(t *testing.T) {
@@ -142,7 +173,7 @@ func TestStateIsRealmScoped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enf := umastate.New("webpics", nil, nil)
+	enf := umastate.New("webpics", nil)
 	// The travel-realm state must not open the work realm.
 	ok, err := enf.Check(pairing, handle, "work", "doc-1", core.ActionRead)
 	if err != nil {
@@ -158,8 +189,8 @@ func TestAllModelsAgreeOnOutcome(t *testing.T) {
 	// outcomes for the same request — they differ only in mechanics.
 	w, h := setup(t)
 	pairing, _ := h.Enforcer.PairingFor("bob")
-	pull := pullmodel.New("webpics", nil, nil)
-	stateEnf := umastate.New("webpics", nil, nil)
+	pull := pullmodel.New("webpics", nil)
+	stateEnf := umastate.New("webpics", nil)
 
 	for _, tc := range []struct {
 		subject core.UserID

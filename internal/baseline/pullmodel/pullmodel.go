@@ -24,15 +24,14 @@ import (
 type Enforcer struct {
 	host   core.HostID
 	client *http.Client
-	tracer *core.Tracer
 }
 
 // New constructs a pull-model enforcer for the given host identity.
-func New(host core.HostID, client *http.Client, tracer *core.Tracer) *Enforcer {
+func New(host core.HostID, client *http.Client) *Enforcer {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Enforcer{host: host, client: client, tracer: tracer}
+	return &Enforcer{host: host, client: client}
 }
 
 // Check queries the AM for every access — the defining property (and cost)
@@ -50,8 +49,6 @@ func (e *Enforcer) Check(p pep.Pairing, subject core.UserID, requester core.Requ
 		Subject:   subject,
 		Requester: requester,
 	}
-	e.tracer.Record(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-		"pull-decision-query", string(res))
 	am := amclient.New(amclient.Config{
 		BaseURL:    p.AMURL,
 		HTTPClient: e.client,

@@ -39,7 +39,7 @@ func pairing(amURL string) pep.Pairing {
 
 func TestCheckPermit(t *testing.T) {
 	srv := fakeAM(t, "s3cret", "permit")
-	e := New("webpics", nil, nil)
+	e := New("webpics", nil)
 	ok, err := e.Check(pairing(srv.URL), "alice", "app", "travel", "r", core.ActionRead)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
@@ -48,7 +48,7 @@ func TestCheckPermit(t *testing.T) {
 
 func TestCheckDeny(t *testing.T) {
 	srv := fakeAM(t, "s3cret", "deny")
-	e := New("webpics", nil, nil)
+	e := New("webpics", nil)
 	ok, err := e.Check(pairing(srv.URL), "mallory", "app", "travel", "r", core.ActionRead)
 	if err != nil || ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
@@ -58,7 +58,7 @@ func TestCheckDeny(t *testing.T) {
 func TestCheckSignsRequests(t *testing.T) {
 	// The fake AM rejects a wrong secret: Check must surface the failure.
 	srv := fakeAM(t, "different-secret", "permit")
-	e := New("webpics", nil, nil)
+	e := New("webpics", nil)
 	_, err := e.Check(pairing(srv.URL), "alice", "app", "travel", "r", core.ActionRead)
 	if err == nil || !strings.Contains(err.Error(), "401") {
 		t.Fatalf("err = %v", err)
@@ -66,7 +66,7 @@ func TestCheckSignsRequests(t *testing.T) {
 }
 
 func TestCheckTransportError(t *testing.T) {
-	e := New("webpics", nil, nil)
+	e := New("webpics", nil)
 	p := pep.Pairing{AMURL: "http://127.0.0.1:1", PairingID: "x", Secret: "y"}
 	if _, err := e.Check(p, "alice", "app", "travel", "r", core.ActionRead); err == nil {
 		t.Fatal("no error for unreachable AM")

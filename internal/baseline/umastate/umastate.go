@@ -57,15 +57,14 @@ func (c *RequesterClient) EstablishState(amURL string, host core.HostID, realm c
 type Enforcer struct {
 	host   core.HostID
 	client *http.Client
-	tracer *core.Tracer
 }
 
 // New constructs a state-model enforcer.
-func New(host core.HostID, client *http.Client, tracer *core.Tracer) *Enforcer {
+func New(host core.HostID, client *http.Client) *Enforcer {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &Enforcer{host: host, client: client, tracer: tracer}
+	return &Enforcer{host: host, client: client}
 }
 
 // Check queries the AM with the Requester's state handle.
@@ -80,8 +79,6 @@ func (e *Enforcer) Check(p pep.Pairing, handle string, realm core.RealmID, res c
 		},
 		Handle: handle,
 	}
-	e.tracer.Record(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-		"state-decision-query", string(res))
 	am := amclient.New(amclient.Config{
 		BaseURL:    p.AMURL,
 		HTTPClient: e.client,

@@ -55,7 +55,7 @@ func TestEstablishAndCheck(t *testing.T) {
 	if err != nil || handle != "state-1" {
 		t.Fatalf("handle=%q err=%v", handle, err)
 	}
-	e := New("webpics", nil, nil)
+	e := New("webpics", nil)
 	p := pep.Pairing{AMURL: srv.URL, PairingID: "pair", Secret: "s3cret"}
 	ok, err := e.Check(p, handle, "travel", "r", core.ActionRead)
 	if err != nil || !ok {
@@ -78,7 +78,7 @@ func TestEstablishDenied(t *testing.T) {
 }
 
 func TestCheckTransportError(t *testing.T) {
-	e := New("webpics", nil, nil)
+	e := New("webpics", nil)
 	p := pep.Pairing{AMURL: "http://127.0.0.1:1", PairingID: "x", Secret: "y"}
 	if _, err := e.Check(p, "h", "travel", "r", core.ActionRead); err == nil {
 		t.Fatal("no error for unreachable AM")

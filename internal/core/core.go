@@ -75,39 +75,6 @@ func ParseDecision(s string) (Decision, error) {
 	}
 }
 
-// Phase identifies a step of the access-control protocol (Fig. 2).
-type Phase int
-
-// Protocol phases, numbered exactly as in Fig. 2 of the paper.
-const (
-	PhaseDelegatingAccessControl Phase = iota + 1 // (1) Fig. 3
-	PhaseComposingPolicies                        // (2) Fig. 4
-	PhaseObtainingToken                           // (3) Fig. 5
-	PhaseAccessingResource                        // (4) Fig. 6
-	PhaseObtainingDecision                        // (5) Fig. 6
-	PhaseSubsequentAccess                         // (6) Section V.B.6
-)
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseDelegatingAccessControl:
-		return "delegating-access-control"
-	case PhaseComposingPolicies:
-		return "composing-policies"
-	case PhaseObtainingToken:
-		return "obtaining-authorization-token"
-	case PhaseAccessingResource:
-		return "accessing-protected-resource"
-	case PhaseObtainingDecision:
-		return "obtaining-authorization-decision"
-	case PhaseSubsequentAccess:
-		return "subsequent-access-requests"
-	default:
-		return fmt.Sprintf("phase(%d)", int(p))
-	}
-}
-
 // UserID identifies a User (the resource owner, or a subject requesting
 // access on behalf of a person) across all components.
 type UserID string

@@ -73,40 +73,6 @@ func TestValidAction(t *testing.T) {
 	}
 }
 
-func TestPhaseStrings(t *testing.T) {
-	phases := []Phase{
-		PhaseDelegatingAccessControl,
-		PhaseComposingPolicies,
-		PhaseObtainingToken,
-		PhaseAccessingResource,
-		PhaseObtainingDecision,
-		PhaseSubsequentAccess,
-	}
-	seen := map[string]bool{}
-	for _, p := range phases {
-		s := p.String()
-		if s == "" || strings.HasPrefix(s, "phase(") {
-			t.Errorf("Phase %d has no name: %q", p, s)
-		}
-		if seen[s] {
-			t.Errorf("duplicate phase name %q", s)
-		}
-		seen[s] = true
-	}
-	if got := Phase(99).String(); got != "phase(99)" {
-		t.Errorf("unknown phase = %q", got)
-	}
-}
-
-func TestPhaseNumbering(t *testing.T) {
-	// Fig. 2 numbers the phases 1..6; the constants must match so trace
-	// output lines up with the paper.
-	if PhaseDelegatingAccessControl != 1 || PhaseSubsequentAccess != 6 {
-		t.Fatalf("phases misnumbered: first=%d last=%d",
-			PhaseDelegatingAccessControl, PhaseSubsequentAccess)
-	}
-}
-
 func TestResourceRef(t *testing.T) {
 	r := ResourceRef{Host: "webpics", Resource: "photo-1"}
 	if got := r.String(); got != "webpics/photo-1" {
@@ -203,75 +169,6 @@ func TestMessageJSONRoundTrip(t *testing.T) {
 	if out.Requester != in.Requester || out.Realm != in.Realm ||
 		out.Action != in.Action || out.Claims["payment"] != "rcpt-1" {
 		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
-func TestTracer(t *testing.T) {
-	var tr Tracer
-	tr.Record(PhaseObtainingToken, "requester", "am", "token-request", "realm=travel")
-	tr.Record(PhaseObtainingToken, "am", "requester", "token-response", "")
-	events := tr.Events()
-	if len(events) != 2 {
-		t.Fatalf("got %d events", len(events))
-	}
-	if events[0].Seq != 1 || events[1].Seq != 2 {
-		t.Fatal("sequence numbers wrong")
-	}
-	if got := tr.Ops(); got[0] != "token-request" || got[1] != "token-response" {
-		t.Fatalf("ops = %v", got)
-	}
-	if tr.CountOp("token-request") != 1 {
-		t.Fatal("CountOp wrong")
-	}
-	if !strings.Contains(events[0].String(), "requester -> am") {
-		t.Fatalf("String() = %q", events[0].String())
-	}
-	tr.Reset()
-	if len(tr.Events()) != 0 {
-		t.Fatal("reset did not clear events")
-	}
-	tr.Record(PhaseSubsequentAccess, "a", "b", "op", "")
-	if tr.Events()[0].Seq != 1 {
-		t.Fatal("seq not reset")
-	}
-}
-
-func TestNilTracerSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Record(PhaseObtainingToken, "a", "b", "op", "") // must not panic
-	if tr.Events() != nil {
-		t.Fatal("nil tracer returned events")
-	}
-	tr.Reset()
-	if tr.CountOp("op") != 0 {
-		t.Fatal("nil tracer counted ops")
-	}
-}
-
-func TestTracerConcurrent(t *testing.T) {
-	var tr Tracer
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for j := 0; j < 100; j++ {
-				tr.Record(PhaseSubsequentAccess, "a", "b", "op", "")
-			}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	events := tr.Events()
-	if len(events) != 800 {
-		t.Fatalf("got %d events, want 800", len(events))
-	}
-	seen := map[int]bool{}
-	for _, e := range events {
-		if seen[e.Seq] {
-			t.Fatalf("duplicate seq %d", e.Seq)
-		}
-		seen[e.Seq] = true
 	}
 }
 

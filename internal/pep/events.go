@@ -53,8 +53,6 @@ func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 				// cache once rather than serve decisions the AM already
 				// revoked, then wait out the retry pause.
 				e.cache.Invalidate()
-				e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-					"invalidation-stream-down", err.Error())
 				t := time.NewTimer(e.streamRetry)
 				select {
 				case <-e.streamCtx.Done():
@@ -103,23 +101,16 @@ func (e *Enforcer) applyEvent(ev core.Event) {
 		// Events were lost between our cursor and the stream head: any of
 		// them could have been an eviction we needed.
 		e.cache.Invalidate()
-		e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-			"cache-invalidated", "stream resync")
 	case core.EventInvalidation:
 		push := ev.Invalidation
 		if push == nil || push.Owner == "" {
 			e.cache.Invalidate()
-			e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-				"cache-invalidated", "stream (unscoped)")
 			return
 		}
-		n := e.cache.InvalidateScope(Scope{
+		e.cache.InvalidateScope(Scope{
 			Owner:     push.Owner,
 			Realms:    push.Realms,
 			Resources: push.Resources,
 		})
-		e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-			"cache-invalidated", fmt.Sprintf("stream owner=%s realms=%d resources=%d evicted=%d",
-				push.Owner, len(push.Realms), len(push.Resources), n))
 	}
 }

@@ -68,8 +68,6 @@ type Config struct {
 	HTTPClient *http.Client
 	// Cache is the decision cache; nil means a fresh cache.
 	Cache *DecisionCache
-	// Tracer records protocol events.
-	Tracer *core.Tracer
 	// Store, when non-nil, persists pairings: existing ones are loaded on
 	// construction and changes are written through, so a Host restarted
 	// against a durable (WAL-backed) store keeps its AM trust
@@ -110,7 +108,6 @@ type Enforcer struct {
 	baseURL string
 	client  *http.Client
 	cache   *DecisionCache
-	tracer  *core.Tracer
 	store   *store.Store // nil = memory-only pairings
 
 	// streamCtx governs every subscription goroutine (see events.go):
@@ -164,7 +161,6 @@ func New(cfg Config) *Enforcer {
 		baseURL:       cfg.BaseURL,
 		client:        client,
 		cache:         cache,
-		tracer:        cfg.Tracer,
 		store:         cfg.Store,
 		streamRetry:   retry,
 		pairings:      make(map[core.UserID]Pairing),
@@ -213,10 +209,6 @@ func (e *Enforcer) SetBaseURL(u string) { e.baseURL = u }
 // Cache exposes the decision cache (metrics, invalidation).
 func (e *Enforcer) Cache() *DecisionCache { return e.cache }
 
-func (e *Enforcer) trace(phase core.Phase, from, to, op, detail string) {
-	e.tracer.Record(phase, from, to, op, detail)
-}
-
 // --- Pairing (Fig. 3) ---
 
 // BeginPairing returns the AM confirmation URL the user's browser must
@@ -232,8 +224,6 @@ func (e *Enforcer) BeginPairing(amURL string, user core.UserID) string {
 		core.ParamAM:   {amURL},
 		core.ParamUser: {string(user)},
 	}.Encode())
-	e.trace(core.PhaseDelegatingAccessControl, "host:"+string(e.host), "user:"+string(user),
-		"redirect-to-am", amURL)
 	return amclient.PairConfirmURL(amURL, q)
 }
 
@@ -259,8 +249,6 @@ func (e *Enforcer) CompletePairing(amURL string, user core.UserID, code string) 
 	}
 	e.pairings[user] = p
 	e.mu.Unlock()
-	e.trace(core.PhaseDelegatingAccessControl, "host:"+string(e.host), "am",
-		"pairing-complete", p.PairingID)
 	return p, nil
 }
 
@@ -303,10 +291,9 @@ func (e *Enforcer) HandlePairCallback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	if err := e.StartInvalidationStream(user); err != nil {
-		e.trace(core.PhaseDelegatingAccessControl, "host:"+string(e.host), "am",
-			"invalidation-stream-unavailable", err.Error())
-	}
+	// Without a subscription the pairing stands and the cache TTL bounds
+	// freshness, so the pairing still succeeds.
+	_ = e.StartInvalidationStream(user)
 	// "a User is redirected back to the Host to be acknowledged that a
 	// secure communication channel has been established" (Section V.B.1).
 	w.Header().Set("Content-Type", "application/json")
@@ -357,8 +344,6 @@ func (e *Enforcer) CompleteRealmPairing(amURL string, owner core.UserID, realm c
 	if err := e.setRealmPairing(owner, realm, p); err != nil {
 		return Pairing{}, err
 	}
-	e.trace(core.PhaseDelegatingAccessControl, "host:"+string(e.host), "am",
-		"realm-pairing-complete", fmt.Sprintf("%s -> %s", realm, p.PairingID))
 	return p, nil
 }
 
@@ -417,8 +402,6 @@ func (e *Enforcer) Protect(owner core.UserID, realm core.RealmID, resources []co
 	if _, err := e.amFor(p).Protect(req); err != nil {
 		return fmt.Errorf("pep: protect %s: %w", realm, err)
 	}
-	e.trace(core.PhaseComposingPolicies, "host:"+string(e.host), "am",
-		"protect", string(realm))
 	return nil
 }
 
@@ -505,19 +488,11 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 	}
 	tok, ok := ExtractToken(r)
 	if !ok {
-		if e.tracer != nil {
-			e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
-				"refer-to-am", string(res))
-		}
 		return CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL}, nil
 	}
 
 	key := cacheKey(tok, res, action)
 	if decision, ok := e.cache.get(key); ok {
-		if e.tracer != nil {
-			e.trace(core.PhaseSubsequentAccess, "host:"+string(e.host), "host:"+string(e.host),
-				"enforce-cached", fmt.Sprintf("%s %s=%v", res, action, decision))
-		}
 		verdict := VerdictDeny
 		if decision {
 			verdict = VerdictAllow
@@ -541,10 +516,6 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		// lands while the response is in flight, the decision may predate
 		// the policy change and must not be written back.
 		gen := e.cache.Gen()
-		if e.tracer != nil {
-			e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-				"decision-query-sent", string(res))
-		}
 		d, err := e.amFor(p).Decide(q)
 		if err != nil {
 			return core.DecisionResponse{}, fmt.Errorf("pep: decision query: %w", err)
@@ -564,10 +535,6 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		// The token itself is bad (expired, forged, out of scope): refer
 		// the Requester back to the AM for a fresh one rather than
 		// answering with a terminal deny.
-		if e.tracer != nil {
-			e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
-				"refer-to-am", "token problem: "+dec.Reason)
-		}
 		return CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL, Reason: dec.Reason}, nil
 	}
 	verdict := VerdictDeny
@@ -599,10 +566,6 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 	results := make([]CheckResult, len(pairs))
 	tok, ok := ExtractToken(r)
 	if !ok {
-		if e.tracer != nil {
-			e.trace(core.PhaseObtainingToken, "host:"+string(e.host), "requester",
-				"refer-to-am", fmt.Sprintf("batch of %d", len(pairs)))
-		}
 		for i := range results {
 			results[i] = CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL}
 		}
@@ -663,10 +626,6 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 			Items:     chunk,
 		}
 		gen := e.cache.Gen()
-		if e.tracer != nil {
-			e.trace(core.PhaseObtainingDecision, "host:"+string(e.host), "am",
-				"decision-batch-sent", fmt.Sprintf("%d items", len(chunk)))
-		}
 		resp, err := e.amFor(p).DecideBatch(q)
 		if err != nil {
 			return nil, fmt.Errorf("pep: batch decision query: %w", err)

@@ -148,8 +148,7 @@ func TestCheckWithoutPairing(t *testing.T) {
 }
 
 // TestCachedCheckAllocatesNothing: the Section V.B.6 fast path — a Check
-// answered from the decision cache — allocates nothing when no tracer is
-// set.
+// answered from the decision cache — allocates nothing.
 func TestCachedCheckAllocatesNothing(t *testing.T) {
 	e := New(Config{Host: "webpics"})
 	e.SetRealmPairing("bob", "travel", Pairing{AMURL: "http://am.example", PairingID: "pair-1", Secret: "s"})

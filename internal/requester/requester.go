@@ -65,8 +65,6 @@ type Config struct {
 	HTTPClient *http.Client
 	// ConsentTimeout bounds the total consent wait (default 5s).
 	ConsentTimeout time.Duration
-	// Tracer records protocol events.
-	Tracer *core.Tracer
 }
 
 // Client is a protocol-aware HTTP client for Requesters.
@@ -76,7 +74,6 @@ type Client struct {
 	claims         map[string]string
 	http           *http.Client
 	consentTimeout time.Duration
-	tracer         *core.Tracer
 
 	// ctx parents every consent wait; Close cancels it so shutdown never
 	// waits out a parked stream read.
@@ -108,7 +105,6 @@ func New(cfg Config) *Client {
 		claims:         claims,
 		http:           h,
 		consentTimeout: timeout,
-		tracer:         cfg.Tracer,
 		tokens:         make(map[string]string),
 		last:           make(map[string]string),
 	}
@@ -140,10 +136,6 @@ func (c *Client) ForgetTokens() {
 	defer c.mu.Unlock()
 	c.tokens = make(map[string]string)
 	c.last = make(map[string]string)
-}
-
-func (c *Client) trace(phase core.Phase, from, to, op, detail string) {
-	c.tracer.Record(phase, from, to, op, detail)
 }
 
 // Get fetches a URL performing the full authorization choreography for the
@@ -198,8 +190,6 @@ func (c *Client) Do(req *http.Request, action core.Action, body []byte) (*http.R
 		if tok != "" {
 			clone.Header.Set("Authorization", pep.TokenScheme+" "+tok)
 		}
-		c.trace(core.PhaseAccessingResource, "requester:"+string(c.id), origin,
-			"access-request", fmt.Sprintf("%s %s token=%v", action, req.URL.Path, tok != ""))
 		return c.http.Do(clone)
 	}
 
@@ -287,8 +277,6 @@ func (c *Client) ObtainToken(amURL string, host core.HostID, realm core.RealmID,
 		Action:    action,
 		Claims:    claims,
 	}
-	c.trace(core.PhaseObtainingToken, "requester:"+string(c.id), "am",
-		"token-request", fmt.Sprintf("%s/%s %s", host, realm, action))
 	tr, err := c.am(amURL).RequestToken(req)
 	switch {
 	case errors.Is(err, core.ErrAccessDenied):
@@ -298,7 +286,6 @@ func (c *Client) ObtainToken(amURL string, host core.HostID, realm core.RealmID,
 	}
 	switch {
 	case tr.Token != "":
-		c.trace(core.PhaseObtainingToken, "am", "requester:"+string(c.id), "token-received", "")
 		return tr.Token, nil
 	case tr.PendingConsent != "":
 		return c.waitConsent(amURL, tr.PendingConsent)
@@ -327,8 +314,6 @@ func (c *Client) am(amURL string) *amclient.Client {
 func (c *Client) waitConsent(amURL, ticket string) (string, error) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.consentTimeout)
 	defer cancel()
-	c.trace(core.PhaseObtainingToken, "requester:"+string(c.id), "am",
-		"consent-stream-start", ticket)
 	am := c.am(amURL)
 	stream := am.Stream(amclient.StreamConfig{
 		Path:  "/events/consent",
@@ -370,8 +355,6 @@ func (c *Client) consentOutcome(ticket string, st core.ConsentStatus) (string, e
 	if !st.Approved {
 		return "", ErrConsentDenied
 	}
-	c.trace(core.PhaseObtainingToken, "am", "requester:"+string(c.id),
-		"consent-approved", ticket)
 	return st.Token, nil
 }
 

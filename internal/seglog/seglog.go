@@ -99,6 +99,25 @@ func Scan(r io.Reader, size int64, fn func(payload []byte) bool) (int64, error) 
 	}
 }
 
+// SyncDir makes the entries of directory dir durable. Syncing a file does
+// not persist its name (fsync(2)): creating, renaming or removing a segment
+// survives a power loss only once its directory is synced too. It is a
+// variable so tests can make it fail.
+var SyncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("seglog: sync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("seglog: sync dir: %w", err)
+	}
+	return nil
+}
+
 // Segment describes one segment file.
 type Segment struct {
 	Index int
@@ -209,6 +228,9 @@ func Open(base string, o Options, replay func(payload []byte) bool) (*Log, error
 		if err := os.Rename(base, legacy.Path); err != nil {
 			return nil, fmt.Errorf("seglog: adopt flat log: %w", err)
 		}
+		if err := SyncDir(filepath.Dir(base)); err != nil {
+			return nil, err
+		}
 		segs = append([]Segment{legacy}, segs...)
 	}
 
@@ -217,6 +239,10 @@ func Open(base string, o Options, replay func(payload []byte) bool) (*Log, error
 		f, err := os.OpenFile(SegmentPath(base, 1), os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			return nil, fmt.Errorf("seglog: open: %w", err)
+		}
+		if err := SyncDir(filepath.Dir(base)); err != nil {
+			f.Close()
+			return nil, err
 		}
 		l.active, l.activeIndex = f, 1
 		return l, nil
@@ -330,7 +356,9 @@ func (l *Log) rollLocked() error {
 	l.active = f
 	l.activeIndex++
 	l.activeSize = 0
-	return nil
+	// The records acknowledged into the new segment are only as durable as
+	// its name.
+	return SyncDir(filepath.Dir(l.base))
 }
 
 // Poison marks the log unusable so subsequent appends fail loudly.
@@ -382,7 +410,8 @@ func (l *Log) ActiveIndex() int {
 
 // DropSealed deletes the n oldest sealed segments (all of them when n
 // exceeds their count). Sealed segments are immutable, so a caller that no
-// longer needs their records removes them outright.
+// longer needs their records removes them outright. A removal whose
+// directory cannot be synced poisons the log.
 func (l *Log) DropSealed(n int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -391,11 +420,18 @@ func (l *Log) DropSealed(n int) error {
 
 func (l *Log) dropSealedLocked(n int) error {
 	n = min(n, len(l.sealed))
+	if n == 0 {
+		return nil
+	}
 	for i := 0; i < n; i++ {
 		if err := os.Remove(l.sealed[0].Path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("seglog: drop segment: %w", err)
 		}
 		l.sealed = l.sealed[1:]
+	}
+	if err := SyncDir(filepath.Dir(l.base)); err != nil {
+		l.poisoned = true
+		return err
 	}
 	return nil
 }

@@ -69,7 +69,7 @@ func TestBatchDecisionOneRoundTrip(t *testing.T) {
 
 	// Per-pair baseline, cold cache.
 	h.Enforcer.Cache().Invalidate()
-	w.ResetAMRequests()
+	w.ResetWire()
 	for _, pr := range pairs {
 		res, err := h.Enforcer.Check(req, "bob", "travel", pr.Resource, pr.Action)
 		if err != nil {
@@ -86,7 +86,7 @@ func TestBatchDecisionOneRoundTrip(t *testing.T) {
 
 	// Batched, cold cache.
 	h.Enforcer.Cache().Invalidate()
-	w.ResetAMRequests()
+	w.ResetWire()
 	results, err := h.Enforcer.CheckBatch(req, "bob", "travel", pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestBatchDecisionOneRoundTrip(t *testing.T) {
 	}
 
 	// The batch filled the cache: a second batch answers fully locally.
-	w.ResetAMRequests()
+	w.ResetWire()
 	results, err = h.Enforcer.CheckBatch(req, "bob", "travel", pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestBatchDecisionDuplicatePairs(t *testing.T) {
 	req := TokenRequestFor(fx.token)
 	dup := []pep.ResourceAction{pairs[0], pairs[0], pairs[0]}
 	h.Enforcer.Cache().Invalidate()
-	w.ResetAMRequests()
+	w.ResetWire()
 	results, err := h.Enforcer.CheckBatch(req, "bob", "travel", dup)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestBatchDecisionChunksAboveLimit(t *testing.T) {
 	n := core.MaxBatchDecisionItems + 8
 	w, h, pairs, fx := batchWorld(t, n)
 	req := TokenRequestFor(fx.token)
-	w.ResetAMRequests()
+	w.ResetWire()
 	results, err := h.Enforcer.CheckBatch(req, "bob", "travel", pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestBatchDecisionWithoutToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.ResetAMRequests()
+	w.ResetWire()
 	results, err := h.Enforcer.CheckBatch(req, "bob", "travel", pairs)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	}
 
 	// The unrelated work entry still answers locally: no AM round-trip.
-	w.ResetAMRequests()
+	w.ResetWire()
 	if _, err := aliceWork.Fetch(h.ResourceURL("doc-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 		return result, err
 	}
 	result = ChurnResult{}
-	w.ResetAMRequests()
+	w.ResetWire()
 	hits0, misses0 := h.Enforcer.Cache().Stats()
 
 	churn := 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,28 +10,85 @@ import (
 	"umac/internal/requester"
 )
 
-// These tests assert the exact interaction sequences of the paper's
-// figures, as recorded by the shared tracer — the message-level fidelity
-// claims behind experiments E1–E7.
+// These tests read the exact message sequences of the paper's figures off
+// the wire log: every HTTP request the world's AM and Hosts received, in
+// arrival order, with its status — the message-level fidelity claims
+// behind experiments E1–E7.
 
-// filterOps keeps only the listed trace ops, in order.
-func filterOps(all []string, keep ...string) []string {
-	set := make(map[string]bool, len(keep))
-	for _, k := range keep {
-		set[k] = true
+// figureSteps maps each route the figures travel to its step in the
+// paper; the leading digit is the Fig. 2 phase. A route is
+// "server METHOD path" with every Host named "host" and resource paths
+// collapsed to /res/*.
+var figureSteps = map[string]string{
+	"host GET /umac/pair":           "1 Fig. 3: the User names their AM at the Host and is redirected to it",
+	"am GET /v1/pair/confirm":       "1 Fig. 3: the User confirms the delegation at the AM",
+	"host GET /umac/pair/callback":  "1 Fig. 3: the AM redirects the User back to the Host with a code",
+	"am POST /v1/api/pair/exchange": "1 Fig. 3: the Host exchanges the code for the channel secret",
+	"am POST /v1/api/protect":       "2 Fig. 4: the Host registers the realm at the AM",
+	"am POST /v1/policies":          "2 Fig. 4: the User composes a policy at the AM",
+	"am POST /v1/links/general":     "2 Fig. 4: the User links the policy to the realm",
+	"am GET /v1/compose":            "2 Fig. 4: the Host's share control lands the User on the AM",
+	"am POST /v1/token":             "3 Fig. 5: the Requester obtains an authorization token",
+	"host GET /res/*":               "4 Fig. 6: the Requester accesses the resource",
+	"am POST /v1/api/decision":      "5 Fig. 6: the Host queries the AM for a decision",
+}
+
+// route names an exchange as figureSteps keys it.
+func route(e Exchange) string {
+	server, path := e.Server, e.Path
+	if server != AMServerName {
+		server = "host"
 	}
+	if strings.HasPrefix(path, "/res/") {
+		path = "/res/*"
+	}
+	return server + " " + e.Method + " " + path
+}
+
+// wireSteps renders the wire log as "route status" lines, failing the test
+// on a route no figure step names.
+func wireSteps(t *testing.T, w *World) []string {
+	t.Helper()
 	var out []string
-	for _, op := range all {
-		if set[op] {
-			out = append(out, op)
+	for _, e := range w.Wire() {
+		if _, ok := figureSteps[route(e)]; !ok {
+			t.Fatalf("route %q (%v) is no step of the paper's figures", route(e), e)
 		}
+		out = append(out, route(e)+" "+strconv.Itoa(e.Status))
 	}
 	return out
 }
 
+// expectSteps compares the wire log with want, listing each step's figure
+// on a mismatch.
+func expectSteps(t *testing.T, w *World, what string, want ...string) {
+	t.Helper()
+	got := wireSteps(t, w)
+	if strings.Join(got, "\n") == strings.Join(want, "\n") {
+		return
+	}
+	var b strings.Builder
+	for _, s := range got {
+		b.WriteString("\n  " + s + "\t" + figureSteps[s[:strings.LastIndexByte(s, ' ')]])
+	}
+	t.Fatalf("%s: wire log =%s\nwant\n  %s", what, b.String(), strings.Join(want, "\n  "))
+}
+
+// countRoute is how many exchanges in the wire log travel route.
+func countRoute(w *World, r string) int {
+	n := 0
+	for _, e := range w.Wire() {
+		if route(e) == r {
+			n++
+		}
+	}
+	return n
+}
+
 func TestFig3TraceSequence(t *testing.T) {
-	// Fig. 3: Host redirects user to AM → user confirms (approve-pairing)
-	// → Host exchanges code → secure channel established.
+	// Fig. 3: the Host redirects the User to the AM, the User confirms,
+	// the AM redirects back with a one-time code, and the Host exchanges
+	// it for the channel secret while the callback is still open.
 	w := NewWorld()
 	t.Cleanup(w.Close)
 	h := w.AddHost("webpics")
@@ -38,23 +96,18 @@ func TestFig3TraceSequence(t *testing.T) {
 	if err := bob.PairHost(h, w.AMServer.URL); err != nil {
 		t.Fatal(err)
 	}
-	got := filterOps(w.Tracer.Ops(),
-		"redirect-to-am", "approve-pairing", "exchange-code", "pairing-complete")
-	want := []string{"redirect-to-am", "approve-pairing", "exchange-code", "pairing-complete"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Fig.3 sequence = %v, want %v", got, want)
-	}
-	// All four events belong to phase 1 (delegating access control).
-	for _, e := range w.Tracer.Events() {
-		if e.Phase != core.PhaseDelegatingAccessControl {
-			t.Fatalf("event %q in phase %v", e.Op, e.Phase)
-		}
-	}
+	expectSteps(t, w, "Fig. 3",
+		"host GET /umac/pair 302",
+		"am GET /v1/pair/confirm 302",
+		"host GET /umac/pair/callback 200",
+		"am POST /v1/api/pair/exchange 200",
+	)
 }
 
 func TestFig4TraceSequence(t *testing.T) {
-	// Fig. 4: Host registers the realm with the AM; the user links a
-	// policy (the "share" flow lands on the AM's compose page).
+	// Fig. 4: the Host registers the realm with the AM; the User composes
+	// and links a policy at the AM (the "share" flow lands on the AM's
+	// compose page).
 	w := NewWorld()
 	t.Cleanup(w.Close)
 	h := w.AddHost("webpics")
@@ -62,21 +115,21 @@ func TestFig4TraceSequence(t *testing.T) {
 	if err := bob.PairHost(h, w.AMServer.URL); err != nil {
 		t.Fatal(err)
 	}
-	w.Tracer.Reset()
+	w.ResetWire()
 	if err := h.Enforcer.Protect("bob", "travel", []core.ResourceID{"p1"}, ""); err != nil {
 		t.Fatal(err)
 	}
-	p, err := w.AM.CreatePolicy("bob", policy.Policy{
+	api := w.Client("bob")
+	p, err := api.CreatePolicy(policy.Policy{
 		Owner: "bob", Kind: policy.KindGeneral,
 		Rules: []policy.Rule{{Effect: policy.EffectPermit, Subjects: []policy.Subject{{Type: policy.SubjectEveryone}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AM.LinkGeneral("bob", "travel", p.ID); err != nil {
+	if err := api.LinkGeneral("bob", "travel", p.ID); err != nil {
 		t.Fatal(err)
 	}
-	// The user visits the compose page (the Fig. 4 redirect target).
 	composeURL, err := h.Enforcer.ComposeURL("bob", "travel")
 	if err != nil {
 		t.Fatal(err)
@@ -84,47 +137,25 @@ func TestFig4TraceSequence(t *testing.T) {
 	if err := bob.Visit(composeURL); err != nil {
 		t.Fatal(err)
 	}
-	got := filterOps(w.Tracer.Ops(),
-		"register-realm", "create-policy", "link-general", "compose-page")
-	want := []string{"register-realm", "create-policy", "link-general", "compose-page"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Fig.4 sequence = %v, want %v", got, want)
-	}
-	for _, e := range w.Tracer.Events() {
-		if e.Op == "protect" || e.Op == "register-realm" || e.Op == "link-general" || e.Op == "compose-page" {
-			if e.Phase != core.PhaseComposingPolicies {
-				t.Fatalf("event %q in phase %v", e.Op, e.Phase)
-			}
-		}
-	}
+	expectSteps(t, w, "Fig. 4",
+		"am POST /v1/api/protect 200",
+		"am POST /v1/policies 201",
+		"am POST /v1/links/general 200",
+		"am GET /v1/compose 200",
+	)
 }
 
 func TestFig6SubsequentAccessPhase(t *testing.T) {
-	// §V.B.6: the cache-served access is traced as phase 6 with an
-	// enforce-cached op and no AM interaction.
+	// §V.B.6: once the Host holds a decision, a subsequent access is one
+	// request to the Host, answered from its cache, with no AM exchange.
 	w, h := setupWorld(t)
 	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}
-	w.Tracer.Reset()
+	w.ResetWire()
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}
-	events := w.Tracer.Events()
-	foundCached := false
-	for _, e := range events {
-		switch e.Op {
-		case "enforce-cached":
-			foundCached = true
-			if e.Phase != core.PhaseSubsequentAccess {
-				t.Fatalf("enforce-cached in phase %v", e.Phase)
-			}
-		case "decision-query", "token-request", "token-issued":
-			t.Fatalf("AM interaction %q during cached access", e.Op)
-		}
-	}
-	if !foundCached {
-		t.Fatalf("no enforce-cached event; ops = %v", w.Tracer.Ops())
-	}
+	expectSteps(t, w, "subsequent access", "host GET /res/* 200")
 }

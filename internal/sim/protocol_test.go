@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -52,9 +51,9 @@ func setupWorld(t *testing.T) (*World, *SimpleHost) {
 
 func TestFullProtocolFirstAccess(t *testing.T) {
 	w, h := setupWorld(t)
-	w.Tracer.Reset()
+	w.ResetWire()
 
-	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice", Tracer: w.Tracer})
+	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
 	body, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead)
 	if err != nil {
 		t.Fatal(err)
@@ -63,23 +62,15 @@ func TestFullProtocolFirstAccess(t *testing.T) {
 		t.Fatalf("body = %q", body)
 	}
 
-	// The trace must witness the Fig. 2 phases in order: tokenless access
-	// → referral → token request/issue → access with token → decision
-	// query/response.
-	ops := w.Tracer.Ops()
-	var sequence []string
-	for _, op := range ops {
-		switch op {
-		case "refer-to-am", "token-request", "token-issued",
-			"decision-query", "decision-response":
-			sequence = append(sequence, op)
-		}
-	}
-	want := []string{"refer-to-am", "token-request", "token-request", "token-issued",
-		"decision-query", "decision-response"}
-	if strings.Join(sequence, ",") != strings.Join(want, ",") {
-		t.Fatalf("protocol sequence = %v, want %v (all ops: %v)", sequence, want, ops)
-	}
+	// The wire must witness the Fig. 2 phases in order: tokenless access
+	// answered with a referral → token request → access with the token,
+	// during which the Host queries the AM for the decision.
+	expectSteps(t, w, "first access",
+		"host GET /res/* 401",
+		"am POST /v1/token 200",
+		"host GET /res/* 200",
+		"am POST /v1/api/decision 200",
+	)
 }
 
 func TestSubsequentAccessUsesCache(t *testing.T) {
@@ -89,7 +80,7 @@ func TestSubsequentAccessUsesCache(t *testing.T) {
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}
-	decisionsBefore := w.Tracer.CountOp("decision-query")
+	w.ResetWire()
 	hitsBefore, _ := h.Enforcer.Cache().Stats()
 
 	// Section V.B.6: subsequent requests are enforced from the cached
@@ -99,8 +90,11 @@ func TestSubsequentAccessUsesCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := w.Tracer.CountOp("decision-query"); got != decisionsBefore {
-		t.Fatalf("decision queries grew: %d → %d", decisionsBefore, got)
+	if got := w.AMRequests(); got != 0 {
+		t.Fatalf("%d AM requests during cached accesses, want 0: %v", got, w.Wire())
+	}
+	if got := countRoute(w, "host GET /res/*"); got != 5 {
+		t.Fatalf("host saw %d resource requests, want 5: %v", got, w.Wire())
 	}
 	hitsAfter, _ := h.Enforcer.Cache().Stats()
 	if hitsAfter-hitsBefore != 5 {
@@ -115,15 +109,16 @@ func TestTokenReusedAcrossRealmResources(t *testing.T) {
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}
-	tokensBefore := w.Tracer.CountOp("token-issued")
+	w.ResetWire()
 	// photo-2 is in the same realm: the cached realm token is presented
 	// directly; only a fresh decision query is needed.
 	if _, err := alice.Fetch(h.ResourceURL("photo-2"), core.ActionRead); err != nil {
 		t.Fatal(err)
 	}
-	if got := w.Tracer.CountOp("token-issued"); got != tokensBefore {
-		t.Fatalf("new token minted for same-realm resource: %d → %d", tokensBefore, got)
-	}
+	expectSteps(t, w, "same-realm access",
+		"host GET /res/* 200",
+		"am POST /v1/api/decision 200",
+	)
 }
 
 func TestDenyForStranger(t *testing.T) {
@@ -183,6 +178,7 @@ func TestSinglePolicyAcrossMultipleHosts(t *testing.T) {
 	}
 	// No new policy, no new link: the existing owner/realm link covers the
 	// new host.
+	w.ResetWire()
 	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
 	if _, err := alice.Fetch(pics.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)
@@ -195,9 +191,13 @@ func TestSinglePolicyAcrossMultipleHosts(t *testing.T) {
 		t.Fatalf("body = %q", body)
 	}
 	// Tokens are host-scoped: accessing the second host required a second
-	// token (Section V.B.3 binding), which the client fetched silently.
-	if w.Tracer.CountOp("token-issued") < 2 {
-		t.Fatal("expected a distinct token per host")
+	// token (Section V.B.3 binding), which the client fetched silently. The
+	// one policy answered both hosts' decision queries.
+	if got := countRoute(w, "am POST /v1/token"); got != 2 {
+		t.Fatalf("%d token requests, want one per host: %v", got, w.Wire())
+	}
+	if got := countRoute(w, "am POST /v1/api/decision"); got != 2 {
+		t.Fatalf("%d decision queries, want one per host: %v", got, w.Wire())
 	}
 }
 

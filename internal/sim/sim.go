@@ -5,16 +5,18 @@
 //
 // The paper's prototype ran on Google App Engine with real browsers; this
 // package is the laptop-scale substitute that exercises the identical HTTP
-// flows (see DESIGN.md §4).
+// flows (see docs/ARCHITECTURE.md). Every request a World's servers receive
+// enters its wire log (World.Wire), which is how tests read the paper's
+// message flows off the wire.
 package sim
 
 import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"umac/internal/am"
 	"umac/internal/amclient"
@@ -29,26 +31,20 @@ type World struct {
 	AM       *am.AM
 	AMServer *httptest.Server
 	Outbox   *am.Outbox
-	Tracer   *core.Tracer
 
-	amRequests atomic.Int64
+	wire wireLog
 
 	mu    sync.Mutex
 	hosts map[core.HostID]*SimpleHost
 }
 
-// NewWorld starts an AM with an outbox notifier and shared tracer.
+// NewWorld starts an AM with an outbox notifier.
 func NewWorld() *World { return NewWorldConfig(am.Config{}) }
 
 // NewWorldConfig starts a world with a customized AM configuration
-// (e.g. a short token TTL for expiry tests). Name, Notifier, Tracer and
-// Auth receive the standard defaults when unset.
+// (e.g. a short token TTL for expiry tests). Name, Notifier and Auth
+// receive the standard defaults when unset.
 func NewWorldConfig(cfg am.Config) *World {
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = &core.Tracer{}
-		cfg.Tracer = tracer
-	}
 	outbox, _ := cfg.Notifier.(*am.Outbox)
 	if cfg.Notifier == nil {
 		outbox = &am.Outbox{}
@@ -64,16 +60,9 @@ func NewWorldConfig(cfg am.Config) *World {
 	w := &World{
 		AM:     a,
 		Outbox: outbox,
-		Tracer: tracer,
 		hosts:  make(map[core.HostID]*SimpleHost),
 	}
-	// Count every HTTP request reaching the AM: the round-trip metric of
-	// experiments E9/E10.
-	inner := a.Handler()
-	w.AMServer = httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		w.amRequests.Add(1)
-		inner.ServeHTTP(rw, r)
-	}))
+	w.AMServer = w.Serve(AMServerName, a.Handler())
 	a.SetBaseURL(w.AMServer.URL)
 	return w
 }
@@ -83,12 +72,6 @@ func NewWorldConfig(cfg am.Config) *World {
 func (w *World) Client(user core.UserID) *amclient.Client {
 	return amclient.New(amclient.Config{BaseURL: w.AMServer.URL, User: user})
 }
-
-// AMRequests returns the number of HTTP requests the AM has served.
-func (w *World) AMRequests() int64 { return w.amRequests.Load() }
-
-// ResetAMRequests zeroes the AM request counter.
-func (w *World) ResetAMRequests() { w.amRequests.Store(0) }
 
 // Close shuts down every server in the world. Host enforcers close first:
 // an open invalidation stream is an outstanding request that would
@@ -143,12 +126,13 @@ func (w *World) AddHost(id core.HostID) *SimpleHost {
 		ID:        id,
 		resources: make(map[core.ResourceID]*simResource),
 	}
-	h.Enforcer = pep.New(pep.Config{Host: id, Name: string(id), Tracer: w.Tracer})
+	h.Enforcer = pep.New(pep.Config{Host: id, Name: string(id)})
 	mux := http.NewServeMux()
+	mux.HandleFunc("GET /umac/pair", h.handlePair)
 	mux.HandleFunc("/umac/pair/callback", h.handlePairCallback)
 	mux.HandleFunc("GET /res/{id...}", h.handleGet)
 	mux.HandleFunc("PUT /res/{id...}", h.handlePut)
-	h.Server = httptest.NewServer(mux)
+	h.Server = w.Serve(string(id), mux)
 	h.Enforcer.SetBaseURL(h.Server.URL)
 	w.mu.Lock()
 	w.hosts[id] = h
@@ -173,6 +157,17 @@ func (h *SimpleHost) lookup(id core.ResourceID) (*simResource, bool) {
 	defer h.mu.RUnlock()
 	r, ok := h.resources[id]
 	return r, ok
+}
+
+// handlePair opens Fig. 3: the logged-in user names their AM and is
+// redirected there to confirm the delegation.
+func (h *SimpleHost) handlePair(w http.ResponseWriter, r *http.Request) {
+	user, ok := identity.HeaderAuth{}.Authenticate(r)
+	if !ok {
+		webutil.WriteErrorf(w, http.StatusUnauthorized, "sim: log in to pair an AM")
+		return
+	}
+	http.Redirect(w, r, h.Enforcer.BeginPairing(r.URL.Query().Get(core.ParamAM), user), http.StatusFound)
 }
 
 // handlePairCallback closes the Fig. 3 redirect like
@@ -272,8 +267,8 @@ func (ua *UserAgent) Visit(rawURL string) error {
 // the Host, the browser is bounced Host→AM→Host, and the Host exchanges the
 // one-time code for the channel secret.
 func (ua *UserAgent) PairHost(h *SimpleHost, amURL string) error {
-	confirmURL := h.Enforcer.BeginPairing(amURL, ua.User)
-	if err := ua.Visit(confirmURL); err != nil {
+	start := h.Server.URL + "/umac/pair?" + url.Values{core.ParamAM: {amURL}}.Encode()
+	if err := ua.Visit(start); err != nil {
 		return fmt.Errorf("sim: pairing: %w", err)
 	}
 	if !h.Enforcer.Delegated(ua.User) {

@@ -130,7 +130,7 @@ func runModel(model Model, resources, accessesPerResource int) (ComparisonResult
 	}
 	defer w.Close()
 	pairing, _ := h.Enforcer.PairingFor("bob")
-	w.ResetAMRequests()
+	w.ResetWire()
 
 	switch model {
 	case ModelPushToken:
@@ -145,7 +145,7 @@ func runModel(model Model, resources, accessesPerResource int) (ComparisonResult
 			}
 		}
 	case ModelPull:
-		pull := pullmodel.New(h.ID, nil, w.Tracer)
+		pull := pullmodel.New(h.ID, nil)
 		for k := 0; k < accessesPerResource; k++ {
 			for i := 0; i < resources; i++ {
 				ok, err := pull.Check(pairing, "alice", "alice-browser", "travel",
@@ -164,7 +164,7 @@ func runModel(model Model, resources, accessesPerResource int) (ComparisonResult
 		if err != nil {
 			return result, err
 		}
-		enf := umastate.New(h.ID, nil, w.Tracer)
+		enf := umastate.New(h.ID, nil)
 		for k := 0; k < accessesPerResource; k++ {
 			for i := 0; i < resources; i++ {
 				ok, err := enf.Check(pairing, handle, "travel",

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"umac/internal/seglog"
 )
 
 // Regression tests for WAL segmentation: rolling, compaction of sealed
@@ -185,5 +187,46 @@ func TestTruncatedFollowerRebootstrapsPastDeletedSegments(t *testing.T) {
 	assertSameContents(t, primary, follower)
 	if !follower.Exists("doc", "seed") || !follower.Exists("doc", "after-bootstrap") {
 		t.Fatal("zero-loss violated across re-bootstrap")
+	}
+}
+
+// TestSnapshotFailedDirSyncKeepsWAL: a snapshot's rename is durable only
+// once its directory is synced. When that sync fails, Snapshot must report
+// it and leave the WAL untruncated, so a reopen replays every record.
+func TestSnapshotFailedDirSyncKeepsWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "state.json")
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20
+	for i := 0; i < n; i++ {
+		if _, err := st.Put("doc", fmt.Sprintf("k%02d", i), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saved := seglog.SyncDir
+	seglog.SyncDir = func(string) error { return errors.New("injected dir sync failure") }
+	err = st.Snapshot(path)
+	seglog.SyncDir = saved
+	if err == nil {
+		t.Fatal("Snapshot reported success without syncing its directory")
+	}
+	if st.WALSize() == 0 {
+		t.Fatal("WAL truncated although the snapshot's rename was not made durable")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i := 0; i < n; i++ {
+		var v int
+		if _, err := re.Get("doc", fmt.Sprintf("k%02d", i), &v); err != nil || v != i {
+			t.Fatalf("k%02d after reopen = %d, %v; want %d", i, v, err, i)
+		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+
+	"umac/internal/seglog"
 )
 
 // snapshot is the on-disk representation: a flat, key-sorted entity list so
@@ -86,9 +88,8 @@ func (s *Store) Snapshot(path string) error {
 	// Make the rename itself durable before the log it subsumes is
 	// truncated: without the directory fsync, a machine crash mid-compaction
 	// could surface the old snapshot next to an already-emptied WAL.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := seglog.SyncDir(dir); err != nil {
+		return fmt.Errorf("store: snapshot: %w", err)
 	}
 	if compact {
 		s.walMu.Lock()

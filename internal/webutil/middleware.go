@@ -111,13 +111,13 @@ func (m *Metrics) Instrument(route string, h http.Handler) http.Handler {
 	m.routes = append(m.routes, rc)
 	m.mu.Unlock()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &StatusWriter{ResponseWriter: w}
 		begin := time.Now()
 		// Record in a defer so a panicking handler is still counted: the
 		// Recover middleware sits outside this wrapper and will turn the
 		// panic into a 500, so account it as 5xx here before re-raising.
 		defer func() {
-			status := sw.status()
+			status := sw.Status()
 			if rec := recover(); rec != nil {
 				status = http.StatusInternalServerError
 				defer panic(rec)
@@ -139,20 +139,23 @@ func (m *Metrics) Instrument(route string, h http.Handler) http.Handler {
 	})
 }
 
-// statusWriter records the status code a handler wrote.
-type statusWriter struct {
+// StatusWriter records the status code a handler wrote. Wrap a handler's
+// ResponseWriter in one and read Status once the handler returns.
+type StatusWriter struct {
 	http.ResponseWriter
 	code int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
+// WriteHeader implements http.ResponseWriter.
+func (w *StatusWriter) WriteHeader(code int) {
 	if w.code == 0 {
 		w.code = code
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *statusWriter) Write(b []byte) (int, error) {
+// Write implements http.ResponseWriter.
+func (w *StatusWriter) Write(b []byte) (int, error) {
 	if w.code == 0 {
 		w.code = http.StatusOK
 	}
@@ -162,7 +165,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // Flush implements http.Flusher when the underlying writer does, so
 // streaming handlers (SSE on /v1/events) can push frames through the
 // metrics wrapper without buffering until the request ends.
-func (w *statusWriter) Flush() {
+func (w *StatusWriter) Flush() {
 	if w.code == 0 {
 		w.code = http.StatusOK
 	}
@@ -171,9 +174,9 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// status returns the recorded status (200 when the handler wrote a bare
+// Status returns the recorded status (200 when the handler wrote a bare
 // body or nothing at all — net/http's implicit default).
-func (w *statusWriter) status() int {
+func (w *StatusWriter) Status() int {
 	if w.code == 0 {
 		return http.StatusOK
 	}

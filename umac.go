@@ -65,8 +65,6 @@ type (
 	ResourceID = core.ResourceID
 	// PolicyID identifies a stored policy.
 	PolicyID = core.PolicyID
-	// Tracer collects protocol trace events.
-	Tracer = core.Tracer
 )
 
 // Actions.
