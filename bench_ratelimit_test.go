@@ -20,7 +20,6 @@ import (
 func BenchmarkRateLimit(b *testing.B) {
 	for _, tenants := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("tenants-%d", tenants), func(b *testing.B) {
-			recordBench(b)
 			l := webutil.NewRateLimiter(nil,
 				webutil.TierConfig{Name: "session", Rate: 1e12, Burst: 1e12})
 			keys := make([]string, tenants)
@@ -45,7 +44,6 @@ func BenchmarkRateLimit(b *testing.B) {
 // answering an abuser — which must stay as cheap as the admit path so a
 // flood of throttled requests cannot itself become the bottleneck.
 func BenchmarkRateLimitDeny(b *testing.B) {
-	recordBench(b)
 	clk := time.Now() // frozen clock: never refills, every charge denies
 	l := webutil.NewRateLimiter(func() time.Time { return clk },
 		webutil.TierConfig{Name: "session", Rate: 1, Burst: 1})

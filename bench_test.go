@@ -626,7 +626,6 @@ func BenchmarkStoreShardedMixedRW(b *testing.B) {
 		{"write-heavy-50-50", 2},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
-			recordBench(b)
 			s := store.New()
 			const keys = 16384
 			for i := 0; i < keys; i++ {
@@ -673,9 +672,8 @@ func BenchmarkStoreWALAppend(b *testing.B) {
 			}
 		}
 	}
-	b.Run("buffered", func(b *testing.B) { recordBench(b); run(b) })
+	b.Run("buffered", func(b *testing.B) { run(b) })
 	b.Run("parallel", func(b *testing.B) {
-		recordBench(b)
 		s, err := store.Open(filepath.Join(b.TempDir(), "state.json"))
 		if err != nil {
 			b.Fatal(err)
@@ -692,7 +690,7 @@ func BenchmarkStoreWALAppend(b *testing.B) {
 			}
 		})
 	})
-	b.Run("fsync", func(b *testing.B) { recordBench(b); run(b, store.WithFsync()) })
+	b.Run("fsync", func(b *testing.B) { run(b, store.WithFsync()) })
 }
 
 // BenchmarkStoreGroupCommit measures fsynced write throughput as writer
@@ -708,7 +706,6 @@ func BenchmarkStoreGroupCommit(b *testing.B) {
 	gomax := runtime.GOMAXPROCS(0)
 	for _, writers := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("writers-%d", writers), func(b *testing.B) {
-			recordBench(b)
 			s, err := store.Open(filepath.Join(b.TempDir(), "state.json"), store.WithFsync())
 			if err != nil {
 				b.Fatal(err)
@@ -739,7 +736,6 @@ func BenchmarkStoreGroupCommit(b *testing.B) {
 func BenchmarkStoreRecovery(b *testing.B) {
 	for _, records := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("wal-records-%d", records), func(b *testing.B) {
-			recordBench(b)
 			path := filepath.Join(b.TempDir(), "state.json")
 			s, err := store.Open(path)
 			if err != nil {
@@ -773,7 +769,6 @@ func BenchmarkStoreRecovery(b *testing.B) {
 // BenchmarkStoreSnapshotCompaction measures the compaction point itself:
 // snapshotting a populated store and truncating its WAL.
 func BenchmarkStoreSnapshotCompaction(b *testing.B) {
-	recordBench(b)
 	path := filepath.Join(b.TempDir(), "state.json")
 	s, err := store.Open(path)
 	if err != nil {
@@ -824,7 +819,6 @@ func decisionBenchFixture(b *testing.B, n int) (*sim.World, *sim.SimpleHost, []p
 func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 	const n = 16
 	b.Run(fmt.Sprintf("single-%d", n), func(b *testing.B) {
-		recordBench(b)
 		w, h, pairs, req := decisionBenchFixture(b, n)
 		w.ResetWire()
 		b.ResetTimer()
@@ -840,7 +834,6 @@ func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 		b.ReportMetric(float64(w.AMRequests())/float64(b.N), "am-rt/op")
 	})
 	b.Run(fmt.Sprintf("batch-%d", n), func(b *testing.B) {
-		recordBench(b)
 		w, h, pairs, req := decisionBenchFixture(b, n)
 		w.ResetWire()
 		b.ResetTimer()
@@ -865,7 +858,6 @@ func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 // scoped event on its invalidation stream, the hot entries survive, and
 // the AM sees no decision re-queries (am-rt/op stays 0).
 func BenchmarkDecisionScopedInvalidation(b *testing.B) {
-	recordBench(b)
 	const hot = 32
 	w, h, pairs, req := decisionBenchFixture(b, hot)
 	// An unrelated realm whose policy churns each iteration.
@@ -909,7 +901,6 @@ func BenchmarkDecisionScopedInvalidation(b *testing.B) {
 // BenchmarkDecisionCacheLRU exercises the shard-striped LRU under capacity
 // pressure: every put on a full cache evicts.
 func BenchmarkDecisionCacheLRU(b *testing.B) {
-	recordBench(b)
 	c := pep.NewDecisionCacheCap(1024)
 	keys := make([]string, 4096) // 4x capacity
 	for i := range keys {
@@ -932,7 +923,6 @@ func BenchmarkDecisionCacheLRU(b *testing.B) {
 }
 
 func BenchmarkDecisionCache(b *testing.B) {
-	recordBench(b)
 	c := pep.NewDecisionCache()
 	keys := make([]string, 1024)
 	for i := range keys {
@@ -1224,11 +1214,9 @@ func BenchmarkClusterShardedThroughput(b *testing.B) {
 		})
 	}
 	b.Run("single-primary", func(b *testing.B) {
-		recordBench(b)
 		run(b, []string{"bench-a"})
 	})
 	b.Run("two-shards", func(b *testing.B) {
-		recordBench(b)
 		run(b, []string{"bench-a", "bench-b"})
 	})
 }
@@ -1238,7 +1226,6 @@ func BenchmarkClusterShardedThroughput(b *testing.B) {
 // the two shards of a running cluster, per iteration (alternating
 // directions so each run starts clean).
 func BenchmarkClusterMigrateOwner(b *testing.B) {
-	recordBench(b)
 	owners := clusterBenchWorld(b, []string{"bench-a", "bench-b"})
 	o := owners[0]
 	for i := 0; i < 64; i++ {
@@ -1281,12 +1268,10 @@ func clusterRingOwner(info core.ClusterInfo, owner core.UserID) string {
 // BenchmarkLoadgenSpawnedDecision measures the shard-routed decision path
 // against REAL spawned amserver processes — the process-boundary
 // counterpart of BenchmarkClusterShardedThroughput's in-process number.
-// The gap between the two is pure transport + scheduling overhead; the
-// scenario-level trajectory (throughput, p50/p99, fault phases) lives in
-// BENCH_E17.json, regenerated by `go run ./cmd/loadgen` (schema in
-// docs/BENCHMARKS.md).
+// The gap between the two is pure transport + scheduling overhead. The
+// end-to-end decision trajectory is benchmark/'s decide_miss workload
+// (docs/BENCHMARKS.md).
 func BenchmarkLoadgenSpawnedDecision(b *testing.B) {
-	recordBench(b)
 	ctx := b.Context()
 	binary, err := loadgen.BuildServer(ctx, b.TempDir())
 	if err != nil {
@@ -1346,7 +1331,6 @@ func BenchmarkDecisionIndex(b *testing.B) {
 	pol := decisionIndexPolicy(rules)
 	e := policy.NewEngine(nil)
 	b.Run(fmt.Sprintf("engine-scan-rules-%d", rules), func(b *testing.B) {
-		recordBench(b)
 		for i := 0; i < b.N; i++ {
 			if res := e.Evaluate(req, &pol, nil); res.Decision != core.DecisionPermit {
 				b.Fatal("deny")
@@ -1354,7 +1338,6 @@ func BenchmarkDecisionIndex(b *testing.B) {
 		}
 	})
 	b.Run(fmt.Sprintf("engine-compiled-rules-%d", rules), func(b *testing.B) {
-		recordBench(b)
 		c := policy.Compile(&pol)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -1365,7 +1348,6 @@ func BenchmarkDecisionIndex(b *testing.B) {
 	})
 
 	b.Run(fmt.Sprintf("am-compiled-rules-%d", rules), func(b *testing.B) {
-		recordBench(b)
 		a := am.New(am.Config{
 			Name:     "bench-am",
 			TokenKey: []byte("bench-master-key-0123456789abcde"),
@@ -1418,7 +1400,6 @@ func BenchmarkDecisionIndex(b *testing.B) {
 func BenchmarkRebalancePlan(b *testing.B) {
 	for _, owners := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("owners-%d", owners), func(b *testing.B) {
-			recordBench(b)
 			shards := []core.ShardInfo{
 				{Name: "shard-a", Primary: "http://a"},
 				{Name: "shard-b", Primary: "http://b"},

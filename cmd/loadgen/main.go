@@ -1,26 +1,15 @@
 // Command loadgen runs the scenario-diverse load harness against real
-// spawned amserver binaries and maintains the committed perf trajectory.
+// spawned amserver binaries, as a correctness drill at full size: it
+// spawns a fresh 3-process sharded cluster per scenario, drives it, prints
+// one line per phase (ops, p50/p99 latency, throughput, errors), and fails
+// on any acknowledged write that was lost.
 //
-// Run mode — spawn a fresh 3-process sharded cluster per scenario, drive
-// it, and write the merged per-phase records (the BENCH_E17.json schema,
-// a superset of the repo's -benchjson format):
-//
-//	go run ./cmd/loadgen -out BENCH_E17.json
+//	go run ./cmd/loadgen
 //	go run ./cmd/loadgen -scenarios zipf_hot_owner,kill_migration -ops 200
+//	go run ./cmd/loadgen -smoke -scenarios abusive_tenant
 //
-// Verify mode — shape-check a fresh record set against a committed
-// baseline (CI's loadgen-smoke job runs this after the scenario smokes):
-//
-//	go run ./cmd/loadgen -verify -baseline BENCH_E17.json -fresh artifacts/
-//
-// Verification is deliberately magnitude-blind: container speed varies,
-// so it checks that every baseline record name is present, ran ops, has
-// ordered quantiles and zero lost acknowledged writes — catching a
-// scenario silently vanishing or a durability loss entering the
-// trajectory without flaking on hardware.
-//
-// See docs/BENCHMARKS.md for the schema and docs/OPERATIONS.md for the
-// harness's operational story.
+// The scenarios themselves are described in internal/loadgen; the repo's
+// benchmark is benchmark/ (see docs/BENCHMARKS.md).
 package main
 
 import (
@@ -38,27 +27,14 @@ import (
 
 func main() {
 	var (
-		out       = flag.String("out", "BENCH_E17.json", "merged records output path (run mode)")
 		scenarios = flag.String("scenarios", "", "comma-separated scenario names (default: all)")
 		owners    = flag.Int("owners", 0, "owners per scenario (default: full-size)")
 		ops       = flag.Int("ops", 0, "per-phase op budget (default: full-size)")
 		seed      = flag.Int64("seed", 1, "random seed for every generator")
 		smoke     = flag.Bool("smoke", false, "use CI smoke sizing instead of full-size")
 		timeout   = flag.Duration("timeout", 20*time.Minute, "overall run deadline")
-
-		verify   = flag.Bool("verify", false, "verify -fresh records against -baseline instead of running")
-		baseline = flag.String("baseline", "BENCH_E17.json", "committed baseline records (verify mode)")
-		fresh    = flag.String("fresh", "", "fresh records: a file, or a directory of *.json (verify mode)")
 	)
 	flag.Parse()
-
-	if *verify {
-		if err := runVerify(*baseline, *fresh); err != nil {
-			log.Fatalf("loadgen: %v", err)
-		}
-		fmt.Println("loadgen: verify OK")
-		return
-	}
 
 	opts := loadgen.FullOptions()
 	if *smoke {
@@ -85,12 +61,12 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	if err := runScenarios(ctx, names, opts, *out); err != nil {
+	if err := runScenarios(ctx, names, opts); err != nil {
 		log.Fatalf("loadgen: %v", err)
 	}
 }
 
-func runScenarios(ctx context.Context, names []string, opts loadgen.Options, out string) error {
+func runScenarios(ctx context.Context, names []string, opts loadgen.Options) error {
 	workDir, err := os.MkdirTemp("", "loadgen-")
 	if err != nil {
 		return err
@@ -103,7 +79,6 @@ func runScenarios(ctx context.Context, names []string, opts loadgen.Options, out
 		return err
 	}
 
-	var merged []loadgen.Record
 	for _, name := range names {
 		log.Printf("=== scenario %s (owners=%d ops=%d seed=%d)", name, opts.Owners, opts.Ops, opts.Seed)
 		dir := filepath.Join(workDir, name)
@@ -128,48 +103,7 @@ func runScenarios(ctx context.Context, names []string, opts loadgen.Options, out
 		for _, r := range rec.Records() {
 			log.Printf("  %-45s n=%-5d p50=%-12s p99=%-12s %8.1f ops/s errs=%d",
 				r.Name, r.N, time.Duration(r.P50Ns), time.Duration(r.P99Ns), r.OpsPerSec, r.Errors)
-			merged = append(merged, r)
 		}
 	}
-	if err := loadgen.WriteRecords(out, merged); err != nil {
-		return err
-	}
-	log.Printf("wrote %d records to %s", len(merged), out)
 	return nil
-}
-
-func runVerify(baselinePath, freshPath string) error {
-	if freshPath == "" {
-		return fmt.Errorf("-verify requires -fresh")
-	}
-	base, err := loadgen.ReadRecords(baselinePath)
-	if err != nil {
-		return err
-	}
-	var fresh []loadgen.Record
-	info, err := os.Stat(freshPath)
-	if err != nil {
-		return err
-	}
-	if info.IsDir() {
-		files, err := filepath.Glob(filepath.Join(freshPath, "*.json"))
-		if err != nil {
-			return err
-		}
-		if len(files) == 0 {
-			return fmt.Errorf("no *.json records under %s", freshPath)
-		}
-		for _, f := range files {
-			recs, err := loadgen.ReadRecords(f)
-			if err != nil {
-				return err
-			}
-			fresh = append(fresh, recs...)
-		}
-	} else {
-		if fresh, err = loadgen.ReadRecords(freshPath); err != nil {
-			return err
-		}
-	}
-	return loadgen.VerifyRecords(fresh, base)
 }

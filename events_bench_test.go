@@ -20,7 +20,6 @@ import (
 func BenchmarkEventPublish(b *testing.B) {
 	for _, subs := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("subs-%d", subs), func(b *testing.B) {
-			recordBench(b)
 			broker := events.New(events.Options{})
 			defer broker.Close()
 			ctx, cancel := context.WithCancel(context.Background())
@@ -49,7 +48,6 @@ func BenchmarkEventPublish(b *testing.B) {
 // subscriber that never drains must not change the publish cost class —
 // overflow is a ring drop, not a block.
 func BenchmarkEventPublishStalledSubscriber(b *testing.B) {
-	recordBench(b)
 	broker := events.New(events.Options{SubscriberBuffer: 8})
 	defer broker.Close()
 	sub, _ := broker.Subscribe(events.Filter{}, -1)
@@ -65,7 +63,6 @@ func BenchmarkEventPublishStalledSubscriber(b *testing.B) {
 // filters mostly do NOT match (the realistic owner-sharded case: one
 // owner's mutation, many owners' subscriptions).
 func BenchmarkEventFanoutFiltered(b *testing.B) {
-	recordBench(b)
 	broker := events.New(events.Options{})
 	defer broker.Close()
 	for i := 0; i < 64; i++ {
@@ -86,7 +83,6 @@ func BenchmarkEventFanoutFiltered(b *testing.B) {
 // BenchmarkEventSubscribeResume measures a resume subscription against a
 // full replay window (the reconnect storm case).
 func BenchmarkEventSubscribeResume(b *testing.B) {
-	recordBench(b)
 	broker := events.New(events.Options{ReplayWindow: 1024})
 	defer broker.Close()
 	for i := 0; i < 2048; i++ {

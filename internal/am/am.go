@@ -127,9 +127,6 @@ type Config struct {
 	// replication group), and owner-scoped routes answer wrong_shard when
 	// the owner hashes elsewhere. The zero value is an unsharded AM.
 	Cluster ClusterConfig
-	// Events sizes the streaming event control plane (GET /v1/events).
-	// The zero value uses the broker defaults.
-	Events EventsConfig
 	// Abuse enables the per-tenant token-bucket rate limiter (pairing /
 	// session / remote-IP tiers). The zero value disables it.
 	Abuse AbuseConfig
@@ -154,10 +151,10 @@ type AM struct {
 	cacheTTL  time.Duration
 
 	// broker fans control-plane events (invalidation, consent,
-	// replication) out to /v1/events subscribers; eventsCfg carries the
-	// SSE serving knobs (see events.go).
+	// replication) out to /v1/events subscribers; heartbeat is the SSE
+	// comment-frame interval (DefaultEventHeartbeat; see events.go).
 	broker    *events.Broker
-	eventsCfg EventsConfig
+	heartbeat time.Duration
 
 	// limiter is the per-tenant admission controller (nil = abuse
 	// controls disabled; see ratelimit.go).
@@ -248,17 +245,14 @@ func New(cfg Config) *AM {
 		index:      newDecisionIndex(),
 		pending:    make(map[string]pendingPairing),
 		consents:   make(map[string]*consentTicket),
+		heartbeat:  DefaultEventHeartbeat,
 	}
 	a.auditPipe = audit.NewPipeline(a.audit, 0)
 	a.groups = newGroupStore(st)
 	a.engine = policy.NewEngine(a.groups)
-	a.eventsCfg = cfg.Events.withDefaults()
 	// The broker must exist before the replication loop starts: the
 	// follower sync path publishes replication signals from its goroutine.
-	a.broker = events.New(events.Options{
-		SubscriberBuffer: a.eventsCfg.SubscriberBuffer,
-		ReplayWindow:     a.eventsCfg.ReplayWindow,
-	})
+	a.broker = events.New(events.Options{})
 	// Seed the live ring from config, then let a persisted install (a
 	// rebalance the previous process ran before dying) supersede it.
 	if cfg.Cluster.enabled() {

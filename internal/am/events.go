@@ -35,32 +35,10 @@ import (
 // must rebuild state out of band (drop caches, re-poll tickets) before
 // trusting the stream again.
 
-// DefaultEventHeartbeat is the SSE heartbeat interval used when
-// EventsConfig.Heartbeat is zero: frequent enough that idle connections
-// survey typical proxy idle timeouts (30–60s), rare enough to be noise.
+// DefaultEventHeartbeat is the SSE heartbeat interval: frequent enough
+// that idle connections survive typical proxy idle timeouts (30–60s),
+// rare enough to be noise.
 const DefaultEventHeartbeat = 15 * time.Second
-
-// EventsConfig sizes the event control plane.
-type EventsConfig struct {
-	// SubscriberBuffer caps each subscriber's ring buffer; 0 means
-	// events.DefaultSubscriberBuffer.
-	SubscriberBuffer int
-	// ReplayWindow caps the Last-Event-ID resume window; 0 means
-	// events.DefaultReplayWindow.
-	ReplayWindow int
-	// Heartbeat is the SSE comment-frame interval; 0 means
-	// DefaultEventHeartbeat.
-	Heartbeat time.Duration
-}
-
-// withDefaults fills zero fields (buffer sizes stay zero: the broker
-// applies its own defaults, keeping one source of truth).
-func (c EventsConfig) withDefaults() EventsConfig {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = DefaultEventHeartbeat
-	}
-	return c
-}
 
 // replBearerOK reports whether the request carries the shared replication
 // secret — the operator credential for the unfiltered event stream.
@@ -206,7 +184,7 @@ func (a *AM) serveSSE(w http.ResponseWriter, r *http.Request, f events.Filter) {
 	}
 	fl.Flush()
 
-	hb := a.eventsCfg.Heartbeat
+	hb := a.heartbeat
 	ctx := r.Context()
 	for {
 		// Bound each wait by the heartbeat interval: on timeout we emit a

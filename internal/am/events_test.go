@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"umac/internal/core"
+	"umac/internal/events"
 	"umac/internal/httpsig"
 	"umac/internal/identity"
 	"umac/internal/policy"
@@ -24,9 +25,10 @@ import (
 
 const eventsTestSecret = "events-test-secret"
 
-// newEventsFixture is newHTTPFixture with a tunable Config (events sizing,
-// replication secret for the operator bearer).
-func newEventsFixture(t *testing.T, cfg Config) *httpFixture {
+// newEventsFixture is newHTTPFixture with a tunable Config (replication
+// secret for the operator bearer) and optional tweaks of the AM's unexported
+// fields (the heartbeat interval).
+func newEventsFixture(t *testing.T, cfg Config, tune ...func(*AM)) *httpFixture {
 	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "am"
@@ -35,6 +37,10 @@ func newEventsFixture(t *testing.T, cfg Config) *httpFixture {
 		cfg.Notifier = &Outbox{}
 	}
 	a := New(cfg)
+	// tune runs before the server starts, so the handlers see its writes.
+	for _, f := range tune {
+		f(a)
+	}
 	srv := httptest.NewServer(a.Handler())
 	t.Cleanup(srv.Close)
 	a.SetBaseURL(srv.URL)
@@ -368,11 +374,10 @@ func TestEventsResumeNoLossNoDup(t *testing.T) {
 // hole.
 func TestEventsResumePastWindowResync(t *testing.T) {
 	f := newEventsFixture(t, Config{
-		Events:      EventsConfig{ReplayWindow: 4},
 		Replication: ReplicationConfig{Role: RolePrimary, Secret: eventsTestSecret},
 	})
 	broker := f.am.Events()
-	for i := 0; i < 10; i++ {
+	for i := 0; i < events.DefaultReplayWindow+10; i++ {
 		broker.Publish(core.Event{Type: core.EventReplication, Signal: core.SignalLag})
 	}
 	hdr := http.Header{}
@@ -398,9 +403,8 @@ func TestEventsResumePastWindowResync(t *testing.T) {
 // TestEventsHeartbeat: an idle stream stays warm with comment frames.
 func TestEventsHeartbeat(t *testing.T) {
 	f := newEventsFixture(t, Config{
-		Events:      EventsConfig{Heartbeat: 30 * time.Millisecond},
 		Replication: ReplicationConfig{Role: RolePrimary, Secret: eventsTestSecret},
-	})
+	}, func(a *AM) { a.heartbeat = 30 * time.Millisecond })
 	hdr := http.Header{}
 	hdr.Set("Authorization", "Bearer "+eventsTestSecret)
 	c := openSSE(t, f.am.BaseURL()+"/v1/events", hdr)

@@ -385,8 +385,10 @@ const (
 	ParamSubject   = "subject"
 	ParamReturnTo  = "return_to"
 	ParamToken     = "token"
-	ParamUser      = "user"
 	ParamTicket    = "ticket"
+	// ParamState is the Host's one-time pairing state on the Fig. 3
+	// callback (OAuth's state parameter, RFC 6749 §10.12).
+	ParamState = "state"
 )
 
 // Sentinel errors shared across components.

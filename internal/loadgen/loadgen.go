@@ -46,15 +46,15 @@
 //     (the only scenario that does; see ScenarioExtraArgs).
 //
 // Every scenario reports per-phase throughput, p50/p99 latency, error and
-// loss counters in a superset of the repo's -benchjson schema (see
-// docs/BENCHMARKS.md), and asserts that no write acknowledged to the
+// loss counters (Record), and asserts that no write acknowledged to the
 // client is ever lost — the durability contract the WAL + replication +
 // migration stack promises.
 //
 // The harness runs from `go test ./internal/loadgen` (small smoke
-// instances on both rigs: subtests inproc and spawned) and from
-// `cmd/loadgen` (full-size runs on spawned processes that regenerate
-// BENCH_E17.json).
+// instances on both rigs, subtests inproc and spawned, each checked
+// against the scenario's exact phase list) and from `cmd/loadgen`
+// (full-size runs on spawned processes). It is a correctness drill; the
+// repo's performance is measured by benchmark/.
 package loadgen
 
 import (
@@ -80,8 +80,8 @@ type Options struct {
 // exercise every code path but not to produce stable latency numbers.
 func SmokeOptions() Options { return Options{Owners: 4, Ops: 40, Seed: 1} }
 
-// FullOptions is the BENCH_E17 run: minutes per scenario, enough samples
-// for the p99 to mean something on the 1-CPU container.
+// FullOptions is cmd/loadgen's default: minutes per scenario, enough
+// samples for the p99 to mean something on one CPU.
 func FullOptions() Options { return Options{Owners: 8, Ops: 400, Seed: 1} }
 
 // Scenario drives one workload against a running rig and reports its
@@ -90,7 +90,7 @@ func FullOptions() Options { return Options{Owners: 8, Ops: 400, Seed: 1} }
 type Scenario func(ctx context.Context, rig *Rig, opts Options) (*Recorder, error)
 
 // Scenarios is the registry, keyed by the scenario name that prefixes its
-// benchjson records. cmd/loadgen and the CI smoke job iterate it.
+// record names. cmd/loadgen and the scenario smokes iterate it.
 var Scenarios = map[string]Scenario{
 	"zipf_hot_owner":   ZipfHotOwner,
 	"pairing_churn":    PairingChurn,

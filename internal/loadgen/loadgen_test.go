@@ -3,7 +3,7 @@ package loadgen
 import (
 	"context"
 	"os"
-	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,13 +12,11 @@ import (
 )
 
 // The TestLoadgen* tests are the scenario smokes: each runs one scenario
-// at CI size on a fresh 3-node cluster and asserts zero acknowledged-write
-// loss, twice — subtest inproc on in-process nodes (the server code under
-// this test binary's race detector), subtest spawned on real amserver
-// processes (built on first use; skipped under -short). Only spawned runs
-// write records: when LOADGEN_OUT_DIR is set (the CI loadgen-smoke job)
-// each scenario's records land there for the artifact upload and the
-// schema diff against the committed BENCH_E*.json files.
+// at CI size on a fresh 3-node cluster and asserts its exact phase list
+// and zero acknowledged-write loss, twice — subtest inproc on in-process
+// nodes (the server code under this test binary's race detector), subtest
+// spawned on real amserver processes (built on first use; skipped under
+// -short).
 
 var (
 	buildOnce  sync.Once
@@ -75,11 +73,45 @@ func startRig(t *testing.T, binary string, extraArgs ...string) *Rig {
 	return rig
 }
 
+// scenarioPhases is every scenario's phase list, in the order its records
+// come out. A phase that vanishes, is renamed or moves fails the
+// scenario's smoke on both rigs.
+var scenarioPhases = map[string][]string{
+	"zipf_hot_owner":   {"setup", "storm", "storm_slow", "verify"},
+	"pairing_churn":    {"churn", "churn_slow", "verify"},
+	"delegation_chain": {"setup", "appoint", "chain_write", "chain_walk", "verify"},
+	"kill_migration": {"setup", "pre_kill_load", "killed_decisions", "verify_wal",
+		"verify_follower", "migrate_retry", "migrate_load", "post_migration_load", "verify_migrated"},
+	"consent_storm":  {"setup", "gate", "stream_notify", "poll_notify", "verify"},
+	"ring_double":    {"setup", "clean_load", "grow", "rebalance_load", "verify"},
+	"kill_rebalance": {"setup", "clean_load", "drain_load", "verify"},
+	"abusive_tenant": {"setup", "victim_clean", "abuse_flood", "victim_under_abuse", "verify"},
+}
+
+// TestScenarioPhasesCoverRegistry keeps the phase table and the scenario
+// registry in step, so a new scenario cannot run unguarded.
+func TestScenarioPhasesCoverRegistry(t *testing.T) {
+	for _, name := range ScenarioNames() {
+		if _, ok := scenarioPhases[name]; !ok {
+			t.Errorf("scenario %q has no phase list", name)
+		}
+	}
+	for name := range scenarioPhases {
+		if _, ok := Scenarios[name]; !ok {
+			t.Errorf("phase list for unregistered scenario %q", name)
+		}
+	}
+}
+
 // runScenarioSmoke is the shared body of the scenario smokes.
 func runScenarioSmoke(t *testing.T, name string) {
 	sc, ok := Scenarios[name]
 	if !ok {
 		t.Fatalf("scenario %q not registered", name)
+	}
+	want := make([]string, len(scenarioPhases[name]))
+	for i, phase := range scenarioPhases[name] {
+		want[i] = "Loadgen/" + name + "/" + phase
 	}
 	onBothRigs(t, func(t *testing.T, binary string) {
 		ctx, cancel := context.WithTimeout(t.Context(), 4*time.Minute)
@@ -94,8 +126,12 @@ func runScenarioSmoke(t *testing.T, name string) {
 			t.Fatalf("scenario %s lost %d acknowledged writes", name, lost)
 		}
 		recs := rec.Records()
-		if len(recs) < 3 {
-			t.Fatalf("scenario %s emitted only %d records; expected per-phase coverage", name, len(recs))
+		got := make([]string, len(recs))
+		for i, r := range recs {
+			got[i] = r.Name
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("scenario %s phases:\n got %q\nwant %q", name, got, want)
 		}
 		for _, r := range recs {
 			if r.N <= 0 {
@@ -109,13 +145,6 @@ func runScenarioSmoke(t *testing.T, name string) {
 			}
 			t.Logf("%s: n=%d p50=%s p99=%s %.1f ops/s errs=%d",
 				r.Name, r.N, time.Duration(r.P50Ns), time.Duration(r.P99Ns), r.OpsPerSec, r.Errors)
-		}
-		if dir := os.Getenv("LOADGEN_OUT_DIR"); dir != "" && binary != "" {
-			path := filepath.Join(dir, name+".json")
-			if err := WriteRecords(path, recs); err != nil {
-				t.Fatalf("write records: %v", err)
-			}
-			t.Logf("records written to %s", path)
 		}
 	})
 }

@@ -1,41 +1,33 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 )
 
-// Record is one phase's measurement in the committed perf trajectory. It
-// is a strict superset of the repo's -benchjson schema (name/n/ns_per_op,
-// see benchjson_test.go), so the same tooling can diff BENCH_E13..E17
-// files uniformly; the extra fields carry what a load harness knows that
-// a microbenchmark does not: tail latency, wall-clock throughput, and the
-// error/loss counters that make a perf number trustworthy.
+// Record is one phase's measurement: its operation count, tail latency,
+// wall-clock throughput, and the error/loss counters that make a
+// performance number trustworthy.
 type Record struct {
 	// Name is "Loadgen/<scenario>/<phase>".
-	Name string `json:"name"`
+	Name string
 	// N is the number of operations the phase completed (errors included).
-	N int `json:"n"`
-	// NsPerOp is the mean operation latency in nanoseconds.
-	NsPerOp float64 `json:"ns_per_op"`
+	N int
 	// P50Ns and P99Ns are the median and 99th-percentile op latencies.
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-	// OpsPerSec is N divided by the phase's wall-clock duration — unlike
-	// 1/NsPerOp it includes inter-op scenario overhead.
-	OpsPerSec float64 `json:"ops_per_sec"`
+	P50Ns int64
+	P99Ns int64
+	// OpsPerSec is N divided by the phase's wall-clock duration, so it
+	// includes inter-op scenario overhead.
+	OpsPerSec float64
 	// Errors counts operations that failed. Some phases expect errors
 	// (writes against a killed primary); the scenario decides what is
 	// tolerable, the record just reports.
-	Errors int `json:"errors"`
+	Errors int
 	// Lost counts acknowledged writes that later turned out to be missing.
 	// Any non-zero value is a durability-contract violation and fails the
-	// scenario outright; it is recorded anyway so a bench artifact can
-	// never silently paper over a loss.
-	Lost int `json:"lost"`
+	// scenario outright.
+	Lost int
 }
 
 // Recorder accumulates one scenario's phases in order.
@@ -104,7 +96,6 @@ func (ph *PhaseRec) record(scenario string) Record {
 	for _, d := range sorted {
 		total += d
 	}
-	rec.NsPerOp = float64(total.Nanoseconds()) / float64(len(sorted))
 	rec.P50Ns = quantile(sorted, 0.50).Nanoseconds()
 	rec.P99Ns = quantile(sorted, 0.99).Nanoseconds()
 	elapsed := ph.elapsed
@@ -145,59 +136,4 @@ func (r *Recorder) TotalLost() int {
 		n += ph.Lost
 	}
 	return n
-}
-
-// WriteRecords writes records as an indented JSON array — the exact
-// framing benchjson_test.go uses, so BENCH_E17.json diffs like its
-// siblings.
-func WriteRecords(path string, recs []Record) error {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Name < recs[j].Name })
-	data, err := json.MarshalIndent(recs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadRecords loads a records artifact written by WriteRecords (or any
-// benchjson file — missing extended fields decode to zero).
-func ReadRecords(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var recs []Record
-	if err := json.Unmarshal(data, &recs); err != nil {
-		return nil, fmt.Errorf("loadgen: parse %s: %w", path, err)
-	}
-	return recs, nil
-}
-
-// VerifyRecords checks a freshly emitted record set against a committed
-// baseline: every baseline scenario/phase name must be present, every
-// record must be internally sane (ops ran, latencies ordered, no loss).
-// It deliberately does NOT compare magnitudes — container perf varies —
-// only shape, so CI catches a scenario silently vanishing or a loss
-// sneaking into the trajectory without flaking on speed.
-func VerifyRecords(fresh, baseline []Record) error {
-	have := make(map[string]Record, len(fresh))
-	for _, r := range fresh {
-		have[r.Name] = r
-	}
-	for _, want := range baseline {
-		got, ok := have[want.Name]
-		if !ok {
-			return fmt.Errorf("loadgen: verify: record %q in baseline but missing from fresh run", want.Name)
-		}
-		if got.N <= 0 {
-			return fmt.Errorf("loadgen: verify: record %q ran zero ops", want.Name)
-		}
-		if got.P50Ns > got.P99Ns {
-			return fmt.Errorf("loadgen: verify: record %q has p50 %d > p99 %d", want.Name, got.P50Ns, got.P99Ns)
-		}
-		if got.Lost != 0 {
-			return fmt.Errorf("loadgen: verify: record %q reports %d lost acknowledged writes", want.Name, got.Lost)
-		}
-	}
-	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -61,35 +60,6 @@ func TestRecorderRecords(t *testing.T) {
 	}
 	if r.OpsPerSec <= 0 {
 		t.Fatalf("ops/sec %f", r.OpsPerSec)
-	}
-}
-
-func TestRecordsRoundTripAndVerify(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	recs := []Record{
-		{Name: "Loadgen/unit/b", N: 5, NsPerOp: 100, P50Ns: 90, P99Ns: 200, OpsPerSec: 10},
-		{Name: "Loadgen/unit/a", N: 3, NsPerOp: 50, P50Ns: 40, P99Ns: 80, OpsPerSec: 20},
-	}
-	if err := WriteRecords(path, recs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRecords(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "Loadgen/unit/a" {
-		t.Fatalf("round trip lost sorting or records: %+v", got)
-	}
-
-	if err := VerifyRecords(got, got); err != nil {
-		t.Fatalf("self-verify failed: %v", err)
-	}
-	if err := VerifyRecords(got[:1], got); err == nil {
-		t.Fatal("verify accepted a fresh run missing a baseline record")
-	}
-	lossy := []Record{{Name: "Loadgen/unit/a", N: 3, P50Ns: 1, P99Ns: 2, Lost: 1}}
-	if err := VerifyRecords(lossy, got[:1]); err == nil {
-		t.Fatal("verify accepted a record reporting lost writes")
 	}
 }
 

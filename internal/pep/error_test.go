@@ -3,14 +3,17 @@ package pep
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"umac/internal/core"
 )
 
 // TestRequireAMFailureYields502 covers the Host's behaviour when the AM is
-// unreachable or erroring: fail closed with 502, never serve.
+// unreachable or erroring: fail closed with 502, never serve. The body the
+// untrusted Requester reads does not carry the AM's address; the log does.
 func TestRequireAMFailureYields502(t *testing.T) {
+	logs := captureLog(t)
 	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "internal", http.StatusInternalServerError)
 	}))
@@ -29,6 +32,12 @@ func TestRequireAMFailureYields502(t *testing.T) {
 	}
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502", rec.Code)
+	}
+	if strings.Contains(rec.Body.String(), broken.URL) {
+		t.Fatalf("502 body leaks the AM's address: %q", rec.Body)
+	}
+	if !strings.Contains(logs.String(), broken.URL) {
+		t.Fatalf("log does not name the AM: %q", logs.String())
 	}
 }
 

@@ -3,6 +3,7 @@ package pep
 import (
 	"errors"
 	"fmt"
+	"log"
 	"time"
 
 	"umac/internal/amclient"
@@ -52,6 +53,8 @@ func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 				// Events may have been missed while disconnected; drop the
 				// cache once rather than serve decisions the AM already
 				// revoked, then wait out the retry pause.
+				log.Printf("pep: invalidation stream for %s at %s failed, cache dropped, retrying in %s: %v",
+					owner, p.AMURL, e.streamRetry, err)
 				e.cache.Invalidate()
 				t := time.NewTimer(e.streamRetry)
 				select {

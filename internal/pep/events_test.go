@@ -3,6 +3,7 @@ package pep
 import (
 	"errors"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,5 +180,42 @@ func TestClosePrompt(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close did not return while stream was parked")
+	}
+}
+
+// TestInvalidationStreamFailureIsLogged: a subscription that fails for
+// good once running (here: the pairing is revoked and the connection
+// dropped) drops the cache and says so, naming the owner and the AM.
+func TestInvalidationStreamFailureIsLogged(t *testing.T) {
+	logs := captureLog(t)
+	a := am.New(am.Config{Name: "am", Notifier: &am.Outbox{}})
+	srv := httptest.NewServer(a.Handler())
+	defer srv.Close()
+	a.SetBaseURL(srv.URL)
+	e := New(Config{Host: "h1", StreamRetry: time.Hour})
+	defer e.Close()
+	code, err := a.ApprovePairing(core.PairingRequest{Host: "h1", User: "bob"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.CompletePairing(srv.URL, "bob", code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.StartInvalidationStream("bob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RevokePairing(p.PairingID); err != nil {
+		t.Fatal(err)
+	}
+	srv.CloseClientConnections()
+
+	want := "invalidation stream for bob at " + srv.URL + " failed"
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logs.String(), want) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %q in log: %q", want, logs.String())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/url"
 	"strings"
@@ -125,11 +126,26 @@ type Enforcer struct {
 
 	mu       sync.RWMutex
 	pairings map[core.UserID]Pairing // per-owner default AM pairing
+	// pending maps each one-time pairing state BeginPairing issued to the
+	// user and AM it was issued for, until the callback consumes it.
+	pending map[string]pendingPairing
 	// realmPairings holds per-realm AM overrides: the Section V.D
 	// extension where "a User may ... delegate access control for
 	// different resources to different AMs as well".
 	realmPairings map[realmKey]Pairing
 }
+
+// pendingPairing is a pairing BeginPairing opened and the pairing
+// callback has not yet closed.
+type pendingPairing struct {
+	amURL   string
+	user    core.UserID
+	expires time.Time
+}
+
+// pairingStateTTL bounds how long a pairing may wait for its callback;
+// expired states are refused and swept, so the pending map stays bounded.
+const pairingStateTTL = 10 * time.Minute
 
 // realmKey identifies an owner's realm at this Host.
 type realmKey struct {
@@ -164,6 +180,7 @@ func New(cfg Config) *Enforcer {
 		store:         cfg.Store,
 		streamRetry:   retry,
 		pairings:      make(map[core.UserID]Pairing),
+		pending:       make(map[string]pendingPairing),
 		realmPairings: make(map[realmKey]Pairing),
 	}
 	e.streamCtx, e.streamCancel = context.WithCancel(context.Background())
@@ -214,28 +231,37 @@ func (e *Enforcer) Cache() *DecisionCache { return e.cache }
 // BeginPairing returns the AM confirmation URL the user's browser must
 // visit: the first leg of Fig. 3 ("A User ... is then redirected from the
 // Host to AM to confirm that this particular Host can delegate its access
-// control functionality to this component").
+// control functionality to this component"). The callback URL carries
+// only a one-time state naming (user, amURL); the callback honours it
+// once, within pairingStateTTL.
 func (e *Enforcer) BeginPairing(amURL string, user core.UserID) string {
+	state := core.NewSecret(16)
+	now := time.Now()
+	e.mu.Lock()
+	for k, p := range e.pending {
+		if now.After(p.expires) {
+			delete(e.pending, k)
+		}
+	}
+	e.pending[state] = pendingPairing{amURL: amURL, user: user, expires: now.Add(pairingStateTTL)}
+	e.mu.Unlock()
+
 	q := url.Values{}
 	q.Set(core.ParamHost, string(e.host))
 	q.Set("host_name", e.name)
 	q.Set("host_url", e.baseURL)
-	q.Set(core.ParamReturnTo, e.baseURL+"/umac/pair/callback?"+url.Values{
-		core.ParamAM:   {amURL},
-		core.ParamUser: {string(user)},
-	}.Encode())
+	q.Set(core.ParamReturnTo, e.baseURL+"/umac/pair/callback?"+url.Values{core.ParamState: {state}}.Encode())
 	return amclient.PairConfirmURL(amURL, q)
 }
 
 // CompletePairing exchanges the one-time code at the AM for the channel
 // secret — the closing leg of Fig. 3. It stores the pairing as the user's
-// default.
+// default, and refuses one the AM issued for another user.
 func (e *Enforcer) CompletePairing(amURL string, user core.UserID, code string) (Pairing, error) {
-	p, err := e.exchange(amURL, code)
+	p, err := e.exchange(amURL, user, code)
 	if err != nil {
 		return Pairing{}, err
 	}
-	p.User = user
 	// Persist before installing, under the same critical section: on a
 	// persist failure the enforcer does not start honoring a pairing the
 	// caller was told failed, and racing completions for one user cannot
@@ -262,42 +288,74 @@ func (e *Enforcer) amFor(p Pairing) *amclient.Client {
 	})
 }
 
-// exchange performs the code-for-secret exchange at an AM.
-func (e *Enforcer) exchange(amURL, code string) (Pairing, error) {
+// exchange performs the code-for-secret exchange at an AM, for a pairing
+// the AM must have issued to user.
+func (e *Enforcer) exchange(amURL string, user core.UserID, code string) (Pairing, error) {
 	c := amclient.New(amclient.Config{BaseURL: amURL, HTTPClient: e.client})
 	pr, err := c.ExchangePairingCode(code, e.host)
 	if err != nil {
 		return Pairing{}, fmt.Errorf("pep: pairing exchange: %w", err)
 	}
-	return Pairing{AMURL: c.BaseURL(), PairingID: pr.PairingID, Secret: pr.Secret}, nil
+	if pr.User != user {
+		return Pairing{}, fmt.Errorf("pep: pairing exchange: AM issued the pairing to %q, not %q", pr.User, user)
+	}
+	return Pairing{AMURL: c.BaseURL(), PairingID: pr.PairingID, Secret: pr.Secret, User: user}, nil
 }
 
 // HandlePairCallback is the HTTP handler for the pairing redirect leg; Host
-// applications mount it at /umac/pair/callback. Once the pairing is
-// installed it subscribes the owner's invalidation stream, so policy
-// changes at the AM reach this Host's decision cache at once rather than
-// at TTL expiry; a subscription that cannot be established leaves the
-// pairing in place with the TTL as the freshness bound.
+// applications mount it at /umac/pair/callback. It closes the pairing
+// BeginPairing opened under the callback's state (400 for a state it did
+// not issue, already used or let expire), then subscribes the owner's
+// invalidation stream, so policy changes at the AM reach this Host's
+// decision cache at once rather than at TTL expiry; a subscription that
+// cannot be established is logged and leaves the pairing in place with
+// the TTL as the freshness bound.
 func (e *Enforcer) HandlePairCallback(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	amURL := q.Get(core.ParamAM)
-	user := core.UserID(q.Get(core.ParamUser))
-	code := q.Get("code")
-	if amURL == "" || code == "" {
-		http.Error(w, "pep: missing am or code", http.StatusBadRequest)
+	p, ok := e.finishPairing(w, r)
+	if !ok {
 		return
 	}
-	if _, err := e.CompletePairing(amURL, user, code); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
+	if err := e.StartInvalidationStream(p.User); err != nil {
+		log.Printf("pep: invalidation stream for %s at %s unavailable: %v", p.User, p.AMURL, err)
 	}
-	// Without a subscription the pairing stands and the cache TTL bounds
-	// freshness, so the pairing still succeeds.
-	_ = e.StartInvalidationStream(user)
 	// "a User is redirected back to the Host to be acknowledged that a
 	// secure communication channel has been established" (Section V.B.1).
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]string{"paired": string(user), "host": string(e.host)})
+	json.NewEncoder(w).Encode(map[string]string{"paired": string(p.User), "host": string(e.host)})
+}
+
+// ServePairCallback is HandlePairCallback without the stream subscription
+// or the JSON acknowledgement, for Hosts that keep no invalidation
+// streams: an installed pairing answers an empty 200.
+func (e *Enforcer) ServePairCallback(w http.ResponseWriter, r *http.Request) {
+	e.finishPairing(w, r)
+}
+
+// finishPairing closes the pairing BeginPairing opened under the
+// callback's one-time state: it consumes the state and exchanges the code
+// at the AM recorded for it, for the user recorded for it. It writes the
+// refusal itself: 400 for a state this Host did not issue, already used
+// or let expire, before any exchange; a fixed 502 for a failed exchange,
+// whose cause (the user, the AM's address, the transport error) is logged
+// rather than shown to the browser.
+func (e *Enforcer) finishPairing(w http.ResponseWriter, r *http.Request) (Pairing, bool) {
+	q := r.URL.Query()
+	state := q.Get(core.ParamState)
+	e.mu.Lock()
+	pending, ok := e.pending[state]
+	delete(e.pending, state)
+	e.mu.Unlock()
+	if !ok || time.Now().After(pending.expires) {
+		http.Error(w, "pep: unknown, used or expired pairing state", http.StatusBadRequest)
+		return Pairing{}, false
+	}
+	p, err := e.CompletePairing(pending.amURL, pending.user, q.Get("code"))
+	if err != nil {
+		log.Printf("pep: pairing %s with %s: %v", pending.user, pending.amURL, err)
+		http.Error(w, "pep: pairing with the authorization manager failed", http.StatusBadGateway)
+		return Pairing{}, false
+	}
+	return p, true
 }
 
 // PairingFor returns the owner's default pairing.
@@ -336,11 +394,10 @@ func (e *Enforcer) setRealmPairing(owner core.UserID, realm core.RealmID, p Pair
 // the resulting pairing to one realm only (the owner's default pairing is
 // untouched).
 func (e *Enforcer) CompleteRealmPairing(amURL string, owner core.UserID, realm core.RealmID, code string) (Pairing, error) {
-	p, err := e.exchange(amURL, code)
+	p, err := e.exchange(amURL, owner, code)
 	if err != nil {
 		return Pairing{}, err
 	}
-	p.User = owner
 	if err := e.setRealmPairing(owner, realm, p); err != nil {
 		return Pairing{}, err
 	}
@@ -518,7 +575,7 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		gen := e.cache.Gen()
 		d, err := e.amFor(p).Decide(q)
 		if err != nil {
-			return core.DecisionResponse{}, fmt.Errorf("pep: decision query: %w", err)
+			return core.DecisionResponse{}, fmt.Errorf("pep: decision query to %s: %w", p.AMURL, err)
 		}
 		// Token-problem denials are about the token, not the policy; they
 		// must never be cached no matter what TTL the response claims.
@@ -673,7 +730,10 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 func (e *Enforcer) Require(w http.ResponseWriter, r *http.Request, owner core.UserID, realm core.RealmID, res core.ResourceID, action core.Action) bool {
 	result, err := e.Check(r, owner, realm, res, action)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		// The cause names the AM and its transport error: log it, and
+		// tell the untrusted Requester only that no decision came.
+		log.Printf("pep: decision on %s for %s: %v", res, owner, err)
+		http.Error(w, "pep: no decision from the authorization manager", http.StatusBadGateway)
 		return false
 	}
 	switch result.Verdict {

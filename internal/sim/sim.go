@@ -129,7 +129,7 @@ func (w *World) AddHost(id core.HostID) *SimpleHost {
 	h.Enforcer = pep.New(pep.Config{Host: id, Name: string(id)})
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /umac/pair", h.handlePair)
-	mux.HandleFunc("/umac/pair/callback", h.handlePairCallback)
+	mux.HandleFunc("/umac/pair/callback", h.Enforcer.ServePairCallback)
 	mux.HandleFunc("GET /res/{id...}", h.handleGet)
 	mux.HandleFunc("PUT /res/{id...}", h.handlePut)
 	h.Server = w.Serve(string(id), mux)
@@ -168,15 +168,6 @@ func (h *SimpleHost) handlePair(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.Redirect(w, r, h.Enforcer.BeginPairing(r.URL.Query().Get(core.ParamAM), user), http.StatusFound)
-}
-
-// handlePairCallback closes the Fig. 3 redirect like
-// pep.Enforcer.HandlePairCallback, minus the stream subscription.
-func (h *SimpleHost) handlePairCallback(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if _, err := h.Enforcer.CompletePairing(q.Get(core.ParamAM), core.UserID(q.Get(core.ParamUser)), q.Get("code")); err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-	}
 }
 
 func (h *SimpleHost) handleGet(w http.ResponseWriter, r *http.Request) {

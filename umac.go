@@ -82,10 +82,6 @@ type (
 	AM = am.AM
 	// AMConfig configures an AM.
 	AMConfig = am.Config
-	// AMEventsConfig tunes the AM's streaming event control plane
-	// (the GET /v1/events endpoint family): per-subscriber buffering,
-	// the resume replay window, and the SSE heartbeat interval.
-	AMEventsConfig = am.EventsConfig
 	// Outbox is the simulated e-mail/SMS consent channel.
 	Outbox = am.Outbox
 	// ReplicationConfig selects an AM's role in a replicated deployment:
