@@ -1,6 +1,7 @@
 package am
 
 import (
+	"sync"
 	"testing"
 
 	"umac/internal/core"
@@ -157,4 +158,50 @@ func mustLinkedGeneral(t *testing.T, a *AM, owner core.UserID, realm core.RealmI
 		t.Fatalf("no general policy linked for %s/%s", owner, realm)
 	}
 	return p.ID
+}
+
+// TestDecisionIndexLookupRacesReset: a lookup beside a reset, as a
+// follower's bootstrap does to a serving index. Run under -race: the
+// lookup must read which map to search under the index's lock.
+func TestDecisionIndexLookupRacesReset(t *testing.T) {
+	ix := newDecisionIndex()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for range 2000 {
+			ix.lookupGeneral("bob/travel")
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for range 2000 {
+			ix.reset()
+		}
+	}()
+	wg.Wait()
+}
+
+// TestDecisionIndexLookupStraddlingReset: a lookup that a reset overtakes
+// returns either the entry and the version from before the reset, or a
+// miss and the version after it — never the pre-reset entry with the
+// post-reset version, which would let a fill from the old store pass the
+// version check.
+func TestDecisionIndexLookupStraddlingReset(t *testing.T) {
+	ix := newDecisionIndex()
+	stale := &policy.CompiledPolicy{}
+	for i := range 2000 {
+		_, _, before := ix.lookupGeneral("bob/travel")
+		ix.storeGeneral("bob/travel", stale, before)
+		done := make(chan struct{})
+		go func() {
+			ix.reset()
+			close(done)
+		}()
+		c, ok, ver := ix.lookupGeneral("bob/travel")
+		<-done
+		if ok && (c != stale || ver != before) {
+			t.Fatalf("lookup %d: entry %p at version %d, stored at version %d", i, c, ver, before)
+		}
+	}
 }

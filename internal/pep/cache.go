@@ -2,7 +2,9 @@ package pep
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"hash/maphash"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,21 +36,30 @@ import (
 // No per-entry storage holds a pointer, so the garbage collector never
 // scans the cache however full it is. Each shard keeps its entries in one
 // slice of fixed-size slots, linked into LRU order by int32 indexes, and
-// indexes them by a fixed-size key. Keys of at most 32 bytes are stored
-// verbatim with their length and longer ones as their SHA-256, so two
-// distinct keys never share a slot. Scope strings are stored as 64-bit
-// hashes under a per-cache seed; equal strings always hash equal, so an
-// invalidation can never miss an entry it names, and a collision can only
-// evict an unrelated entry too — a revoked grant still stops permitting.
+// indexes them by a fixed-size key (see entryKey). Scope strings are
+// stored as 64-bit hashes under a per-cache seed; equal strings always
+// hash equal, so an invalidation can never miss an entry it names, and a
+// collision can only evict an unrelated entry too — a revoked grant still
+// stops permitting.
+//
+// Beside the entries the cache keeps a small memo from recently presented
+// tokens to their SHA-256 (see digest), so a cache hit does not
+// re-hash a token of several hundred bytes. It is the only part of the
+// cache that holds pointers, and it is bounded to digestMemoSize tokens.
+// It is purely a compute cache: a token it does not hold is hashed again,
+// giving the same digest and so the same entry key, so neither the hit
+// ratio nor any decision depends on what it holds.
 type DecisionCache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
-	now      func() time.Time
+	// now is a test clock set by SetClock; nil reads the monotonic clock.
+	now func() time.Time
 	// epoch anchors slot expiry times, stored as nanoseconds since it, so
 	// expiry follows the monotonic clock like the time.Time values it came
 	// from.
 	epoch time.Time
 	seed  maphash.Seed
+	memo  [digestMemoShards]digestShard
 
 	// gen counts invalidations. A decision-query response that was in
 	// flight when an invalidation landed must not be written back (it was
@@ -82,15 +93,36 @@ type cacheShard struct {
 	free  int32  // first unused slot, chained through next
 }
 
-// entryKey is a cache key in fixed-size form.
+// entryKey is a cache key in fixed-size form. It comes in two kinds, which
+// never equal each other:
+//
+//   - a string key, from the exported string API (Get, Put, PutScoped*):
+//     tok is zero and b holds the caller's key;
+//   - a Check key, from the enforcement paths: tok is the SHA-256 of the
+//     bearer token and b holds resource‖0‖action.
+//
+// Either way b holds its bytes verbatim, with their length in n, when they
+// fit, and their SHA-256 otherwise, with n = hashedKey. Two distinct keys
+// therefore share a slot only on a SHA-256 collision.
 type entryKey struct {
-	b [sha256.Size]byte
-	n uint8 // length of a key stored verbatim, or hashedKey
+	tok  tokenDigest
+	b    [sha256.Size]byte
+	n    uint8 // length of b's bytes stored verbatim, or hashedKey
+	kind uint8 // stringKind or checkKind
 }
 
-// hashedKey marks an entryKey holding the SHA-256 of a key longer than
-// sha256.Size bytes, so it never equals a verbatim key.
+// tokenDigest is the SHA-256 of a bearer token.
+type tokenDigest = [sha256.Size]byte
+
+// hashedKey marks an entryKey holding the SHA-256 of bytes longer than
+// sha256.Size, so it never equals a verbatim key.
 const hashedKey = sha256.Size + 1
+
+// The kinds of entryKey.
+const (
+	stringKind uint8 = iota
+	checkKind
+)
 
 // stringKey converts a caller's string key.
 func stringKey(key string) entryKey {
@@ -171,7 +203,7 @@ func NewDecisionCacheCap(capacity int) *DecisionCache {
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &DecisionCache{perShard: perShard, now: time.Now, epoch: time.Now(), seed: maphash.MakeSeed()}
+	c := &DecisionCache{perShard: perShard, epoch: time.Now(), seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.index = make(map[entryKey]int32)
@@ -184,26 +216,114 @@ func NewDecisionCacheCap(capacity int) *DecisionCache {
 // cache is shared between goroutines.
 func (c *DecisionCache) SetClock(now func() time.Time) { c.now = now }
 
-// cacheKey derives the cache key: the SHA-256 of token, resource and
-// action. The token identifies the (requester, realm) grant; resource and
-// action narrow it to the exact decision the AM issued ("whether an access
-// control decision has been already obtained from AM for this Requester to
-// access this particular resource").
-func cacheKey(token string, res core.ResourceID, action core.Action) entryKey {
+// cacheKey derives the Check key of (token, resource, action) from the
+// token's digest: the token identifies the (requester, realm) grant;
+// resource and action narrow it to the exact decision the AM issued
+// ("whether an access control decision has been already obtained from AM
+// for this Requester to access this particular resource"). The token is
+// not hashed again, so the key costs the same whatever the token's length.
+func cacheKey(tok tokenDigest, res core.ResourceID, action core.Action) entryKey {
+	k := entryKey{tok: tok, kind: checkKind}
+	if n := len(res) + 1 + len(action); n <= len(k.b) {
+		i := copy(k.b[:], res)
+		copy(k.b[i+1:], action)
+		k.n = uint8(n)
+		return k
+	}
 	var buf [512]byte
-	b := append(buf[:0], token...)
-	b = append(b, 0)
-	b = append(b, res...)
+	b := append(buf[:0], res...)
 	b = append(b, 0)
 	b = append(b, action...)
-	return entryKey{b: sha256.Sum256(b), n: sha256.Size}
+	k.b, k.n = sha256.Sum256(b), hashedKey
+	return k
 }
 
+// digestMemoSize bounds the token-digest memo. It is split into
+// digestMemoShards lock stripes; each keeps the digestMemoSize /
+// digestMemoShards tokens most recently added to it. Tokens longer than
+// maxMemoToken are hashed every time, so the memo holds at most
+// digestMemoSize*maxMemoToken bytes of tokens however large a token a
+// Requester sends.
+const (
+	digestMemoSize   = 1024
+	digestMemoShards = 16
+	maxMemoToken     = 2048
+)
+
+// digestShard is one stripe of the token-digest memo. keys holds its
+// tokens in insertion order as a ring; next is the oldest, which a full
+// stripe evicts.
+type digestShard struct {
+	mu   sync.RWMutex
+	m    map[string]tokenDigest
+	keys []string
+	next int
+}
+
+// digest returns the SHA-256 of tok, from the memo when it holds tok and
+// otherwise computed and added to the memo.
+func (c *DecisionCache) digest(tok string) tokenDigest {
+	if len(tok) > maxMemoToken {
+		return sha256.Sum256([]byte(tok))
+	}
+	// The stripe comes from the token's last bytes: the tail of a token
+	// is its MAC, so they are uniform, and reading them costs the same
+	// whatever the token's length.
+	var h uint32
+	for i := max(0, len(tok)-4); i < len(tok); i++ {
+		h = h*31 + uint32(tok[i])
+	}
+	m := &c.memo[h%digestMemoShards]
+	m.mu.RLock()
+	d, ok := m.m[tok]
+	m.mu.RUnlock()
+	if ok {
+		return d
+	}
+	return m.add(tok)
+}
+
+// add hashes tok and memoises its digest. It keeps a copy of tok, so the
+// memo never pins the larger string a token was sliced from.
+func (m *digestShard) add(tok string) tokenDigest {
+	var buf [maxMemoToken]byte
+	d := sha256.Sum256(append(buf[:0], tok...))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.m[tok]; ok {
+		return d // a concurrent miss on the same token added it
+	}
+	if m.m == nil {
+		m.m = make(map[string]tokenDigest, digestMemoSize/digestMemoShards)
+	}
+	tok = strings.Clone(tok)
+	if len(m.keys) < digestMemoSize/digestMemoShards {
+		m.keys = append(m.keys, tok)
+	} else {
+		delete(m.m, m.keys[m.next])
+		m.keys[m.next] = tok
+		m.next = (m.next + 1) % len(m.keys)
+	}
+	m.m[tok] = d
+	return d
+}
+
+// shardFor picks k's lock stripe. Mixing in the first bytes of a Check
+// key's token digest spreads one resource's entries, under many tokens,
+// over every stripe; a string key's tok is zero and changes nothing.
 func (c *DecisionCache) shardFor(k entryKey) *cacheShard {
-	return &c.shards[maphash.Bytes(c.seed, k.b[:])&(cacheShards-1)]
+	h := maphash.Bytes(c.seed, k.b[:]) ^ binary.LittleEndian.Uint64(k.tok[:8])
+	return &c.shards[h&(cacheShards-1)]
 }
 
-func (c *DecisionCache) clock() int64 { return int64(c.now().Sub(c.epoch)) }
+// clock reads the cache's time as nanoseconds since its epoch. Without a
+// test clock it reads only the monotonic clock.
+func (c *DecisionCache) clock() int64 {
+	if c.now == nil {
+		return int64(time.Since(c.epoch))
+	}
+	return int64(c.now().Sub(c.epoch))
+}
 
 func (c *DecisionCache) tag(s string) uint64 { return maphash.String(c.seed, s) }
 

@@ -2,6 +2,7 @@ package pep
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -14,10 +15,11 @@ import (
 	"umac/internal/core"
 )
 
-// strKey is cacheKey in the string form the exported methods take.
+// strKey names the decision on (tok, res, action) in the string form the
+// exported methods take: the 32-byte SHA-256 of the three, NUL-separated.
 func strKey(tok string, res core.ResourceID, action core.Action) string {
-	k := cacheKey(tok, res, action)
-	return string(k.b[:])
+	k := sha256.Sum256([]byte(tok + "\x00" + string(res) + "\x00" + string(action)))
+	return string(k[:])
 }
 
 // cacheModel is the reference the cache is checked against: the same

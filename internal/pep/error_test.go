@@ -41,6 +41,27 @@ func TestRequireAMFailureYields502(t *testing.T) {
 	}
 }
 
+// TestRequireUnpairedOwnerYields404: an owner with no pairing at this Host
+// is answered 404, the same as a resource that does not exist, so the
+// answer does not reveal whether the owner exists. No AM was asked, so
+// nothing failed and nothing is logged.
+func TestRequireUnpairedOwnerYields404(t *testing.T) {
+	logs := captureLog(t)
+	e := New(Config{Host: "webpics"})
+	req, _ := http.NewRequest(http.MethodGet, "http://pics/res/x", nil)
+	req.Header.Set("Authorization", "UMAC some-token")
+	rec := httptest.NewRecorder()
+	if e.Require(rec, req, "bob", "travel", "x", core.ActionRead) {
+		t.Fatal("Require returned true for an unpaired owner")
+	}
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("status = %d, want 404", rec.Code)
+	}
+	if logs.String() != "" {
+		t.Fatalf("an unpaired owner was logged as a failure: %q", logs.String())
+	}
+}
+
 // TestCheckTokenProblemReferral covers the expired/forged-token referral:
 // a decision with token_problem=true maps to VerdictNeedToken, uncached.
 func TestCheckTokenProblemReferral(t *testing.T) {

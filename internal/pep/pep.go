@@ -523,6 +523,13 @@ type CheckResult struct {
 // "Authorization: UMAC <token>" header (preferred), a Bearer header, or the
 // ?token= query parameter (for browser redirects back from the AM).
 func ExtractToken(r *http.Request) (string, bool) {
+	// The common case, an exact "UMAC " prefix, is read without
+	// canonicalising the header name or folding the scheme's case; the
+	// general path below gives the same answer for it.
+	if v := r.Header["Authorization"]; len(v) > 0 && strings.HasPrefix(v[0], TokenScheme+" ") {
+		tok := v[0][len(TokenScheme)+1:]
+		return strings.TrimSpace(tok), tok != ""
+	}
 	if h := r.Header.Get("Authorization"); h != "" {
 		scheme, tok, ok := strings.Cut(h, " ")
 		if ok && (strings.EqualFold(scheme, TokenScheme) || strings.EqualFold(scheme, "Bearer")) {
@@ -548,7 +555,7 @@ func (e *Enforcer) Check(r *http.Request, owner core.UserID, realm core.RealmID,
 		return CheckResult{Verdict: VerdictNeedToken, AMURL: p.AMURL}, nil
 	}
 
-	key := cacheKey(tok, res, action)
+	key := cacheKey(e.cache.digest(tok), res, action)
 	if decision, ok := e.cache.get(key); ok {
 		verdict := VerdictDeny
 		if decision {
@@ -638,8 +645,9 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 		item  = make([]int, len(pairs))
 		first = make(map[entryKey]int, len(pairs)) // cache key -> its item
 	)
+	digest := e.cache.digest(tok)
 	for i, pr := range pairs {
-		key := cacheKey(tok, pr.Resource, pr.Action)
+		key := cacheKey(digest, pr.Resource, pr.Action)
 		if j, dup := first[key]; dup {
 			item[i] = j
 			continue
@@ -725,10 +733,17 @@ func (e *Enforcer) CheckBatch(r *http.Request, owner core.UserID, realm core.Rea
 
 // Require runs Check and writes the appropriate protocol response for
 // anything but an allow: 401 with AM referral headers for missing tokens,
-// 403 for denials, 502 for AM communication failures. It returns true only
-// when the caller should serve the resource.
+// 403 for denials, 404 when the owner has no pairing at this Host (so the
+// answer does not reveal whether the owner exists), 502 for AM
+// communication failures. It returns true only when the caller should
+// serve the resource.
 func (e *Enforcer) Require(w http.ResponseWriter, r *http.Request, owner core.UserID, realm core.RealmID, res core.ResourceID, action core.Action) bool {
 	result, err := e.Check(r, owner, realm, res, action)
+	if errors.Is(err, core.ErrNotPaired) {
+		// No AM was asked, so nothing failed and nothing is logged.
+		http.NotFound(w, r)
+		return false
+	}
 	if err != nil {
 		// The cause names the AM and its transport error: log it, and
 		// tell the untrusted Requester only that no decision came.

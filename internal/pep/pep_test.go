@@ -1,6 +1,7 @@
 package pep
 
 import (
+	"crypto/sha256"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"umac/internal/core"
+	"umac/internal/token"
 )
 
 func TestDecisionCacheBasics(t *testing.T) {
@@ -75,20 +77,50 @@ func TestDecisionCacheInvalidate(t *testing.T) {
 	}
 }
 
+// checkKey is the Check key of (tok, res, action), with the token's
+// digest computed directly rather than through a cache's memo.
+func checkKey(tok string, res core.ResourceID, action core.Action) entryKey {
+	return cacheKey(sha256.Sum256([]byte(tok)), res, action)
+}
+
 func TestCacheKeyDistinguishesDimensions(t *testing.T) {
-	base := cacheKey("tok", "res", core.ActionRead)
-	if cacheKey("tok2", "res", core.ActionRead) == base {
-		t.Fatal("token not in key")
+	// Each dimension, with resource‖0‖action stored verbatim and hashed.
+	for _, res := range []core.ResourceID{"res", core.ResourceID(strings.Repeat("r", 40))} {
+		base := checkKey("tok", res, core.ActionRead)
+		if checkKey("tok2", res, core.ActionRead) == base {
+			t.Fatalf("%d-byte resource: token not in key", len(res))
+		}
+		if checkKey("tok", res+"2", core.ActionRead) == base {
+			t.Fatalf("%d-byte resource: resource not in key", len(res))
+		}
+		if checkKey("tok", res, core.ActionWrite) == base {
+			t.Fatalf("%d-byte resource: action not in key", len(res))
+		}
 	}
-	if cacheKey("tok", "res2", core.ActionRead) == base {
-		t.Fatal("resource not in key")
+	// resource‖0‖action of 31 and 32 bytes is stored verbatim, 33 hashed;
+	// ("…ab","c") and ("…a","bc") differ on both sides of that boundary.
+	for _, n := range []int{31, 32, 33} {
+		pad := strings.Repeat("p", n-4)
+		k := checkKey("tok", core.ResourceID(pad+"ab"), "c")
+		want := uint8(n)
+		if n > sha256.Size {
+			want = hashedKey
+		}
+		if k.n != want {
+			t.Fatalf("%d bytes: n = %d, want %d", n, k.n, want)
+		}
+		if k == checkKey("tok", core.ResourceID(pad+"a"), "bc") {
+			t.Fatalf("%d bytes: ambiguous key construction", n)
+		}
+		if k == checkKey("tok", core.ResourceID(pad+"ac"), "c") {
+			t.Fatalf("%d bytes: resource not in key", n)
+		}
 	}
-	if cacheKey("tok", "res", core.ActionWrite) == base {
-		t.Fatal("action not in key")
-	}
-	// Concatenation ambiguity: ("ab","c") vs ("a","bc") must differ.
-	if cacheKey("ab", "c", core.ActionRead) == cacheKey("a", "bc", core.ActionRead) {
-		t.Fatal("ambiguous key construction")
+	// The kind marker keeps a Check key apart from every string key, even
+	// one whose bytes match it field for field.
+	k := cacheKey(tokenDigest{}, "res", core.ActionRead)
+	if s := stringKey("res\x00" + string(core.ActionRead)); s.b != k.b || s.n != k.n || s == k {
+		t.Fatalf("string key %+v vs Check key %+v: only the kind may tell them apart", s, k)
 	}
 }
 
@@ -148,13 +180,21 @@ func TestCheckWithoutPairing(t *testing.T) {
 }
 
 // TestCachedCheckAllocatesNothing: the Section V.B.6 fast path — a Check
-// answered from the decision cache — allocates nothing.
+// answered from the decision cache — allocates nothing, with a token the
+// size the AM mints.
 func TestCachedCheckAllocatesNothing(t *testing.T) {
 	e := New(Config{Host: "webpics"})
 	e.SetRealmPairing("bob", "travel", Pairing{AMURL: "http://am.example", PairingID: "pair-1", Secret: "s"})
+	tok, _, err := token.NewService([]byte("k"), 0).Mint("requester-alice-browser-0001", "alice-subject-0001", "webpics", "travel-album-0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tok) < 350 {
+		t.Fatalf("minted token is %d bytes; the test wants a full-size one", len(tok))
+	}
 	r, _ := http.NewRequest(http.MethodGet, "http://h/res/x", nil)
-	r.Header.Set("Authorization", "UMAC tok123")
-	e.cache.put(cacheKey("tok123", "x", core.ActionRead), EntryScope{Owner: "bob", Realm: "travel", Resource: "x"},
+	r.Header.Set("Authorization", "UMAC "+tok)
+	e.cache.put(checkKey(tok, "x", core.ActionRead), EntryScope{Owner: "bob", Realm: "travel", Resource: "x"},
 		true, 60, e.cache.Gen(), true)
 	check := func() {
 		res, err := e.Check(r, "bob", "travel", "x", core.ActionRead)

@@ -101,7 +101,7 @@ func TestSingleflightDistinctKeysDoNotCollapse(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 				return core.DecisionResponse{Decision: "permit"}, nil
 			})
-		}(cacheKey("tok", res, core.ActionRead))
+		}(checkKey("tok", res, core.ActionRead))
 	}
 	wg.Wait()
 	if n := calls.Load(); n != 3 {
