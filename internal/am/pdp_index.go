@@ -50,47 +50,39 @@ func newDecisionIndex() *decisionIndex {
 	}
 }
 
-// indexMap selects one of the index's two maps. The maps are read through
-// it under ix.mu, never before: reset replaces them under the lock, so a
-// map read outside it can be one from before the reset.
-type indexMap func(*decisionIndex) map[string]*policy.CompiledPolicy
-
-func generalMap(ix *decisionIndex) map[string]*policy.CompiledPolicy  { return ix.gen }
-func specificMap(ix *decisionIndex) map[string]*policy.CompiledPolicy { return ix.spec }
-
 // lookup returns the cached entry (which may be a negative nil), whether
 // one was present, and the version to pass back to store on a miss.
-func (ix *decisionIndex) lookup(m indexMap, key string) (*policy.CompiledPolicy, bool, uint64) {
+func (ix *decisionIndex) lookup(m map[string]*policy.CompiledPolicy, key string) (*policy.CompiledPolicy, bool, uint64) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	c, ok := m(ix)[key]
+	c, ok := m[key]
 	return c, ok, ix.ver
 }
 
 // store installs a freshly resolved entry unless an invalidation ran since
 // the version was captured (the resolve may then have read stale state).
-func (ix *decisionIndex) store(m indexMap, key string, c *policy.CompiledPolicy, ver uint64) {
+func (ix *decisionIndex) store(m map[string]*policy.CompiledPolicy, key string, c *policy.CompiledPolicy, ver uint64) {
 	ix.mu.Lock()
 	if ix.ver == ver {
-		m(ix)[key] = c
+		m[key] = c
 	}
 	ix.mu.Unlock()
 }
 
 func (ix *decisionIndex) lookupGeneral(key string) (*policy.CompiledPolicy, bool, uint64) {
-	return ix.lookup(generalMap, key)
+	return ix.lookup(ix.gen, key)
 }
 
 func (ix *decisionIndex) lookupSpecific(key string) (*policy.CompiledPolicy, bool, uint64) {
-	return ix.lookup(specificMap, key)
+	return ix.lookup(ix.spec, key)
 }
 
 func (ix *decisionIndex) storeGeneral(key string, c *policy.CompiledPolicy, ver uint64) {
-	ix.store(generalMap, key, c, ver)
+	ix.store(ix.gen, key, c, ver)
 }
 
 func (ix *decisionIndex) storeSpecific(key string, c *policy.CompiledPolicy, ver uint64) {
-	ix.store(specificMap, key, c, ver)
+	ix.store(ix.spec, key, c, ver)
 }
 
 // invalidate drops the entries a PAP mutation can have affected, mirroring
@@ -139,12 +131,14 @@ func (ix *decisionIndex) dropOwnerLocked(owner core.UserID) {
 }
 
 // reset drops everything — the bootstrap path, where the whole store was
-// just replaced underneath the index.
+// just replaced underneath the index. It empties the maps in place: gen
+// and spec are never reassigned, so lookup and store may read them
+// without the lock and touch only their contents under it.
 func (ix *decisionIndex) reset() {
 	ix.mu.Lock()
 	ix.ver++
-	ix.gen = make(map[string]*policy.CompiledPolicy)
-	ix.spec = make(map[string]*policy.CompiledPolicy)
+	clear(ix.gen)
+	clear(ix.spec)
 	ix.mu.Unlock()
 }
 

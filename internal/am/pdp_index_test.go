@@ -162,7 +162,7 @@ func mustLinkedGeneral(t *testing.T, a *AM, owner core.UserID, realm core.RealmI
 
 // TestDecisionIndexLookupRacesReset: a lookup beside a reset, as a
 // follower's bootstrap does to a serving index. Run under -race: the
-// lookup must read which map to search under the index's lock.
+// reset must not reassign a map field a lookup reads.
 func TestDecisionIndexLookupRacesReset(t *testing.T) {
 	ix := newDecisionIndex()
 	var wg sync.WaitGroup

@@ -48,7 +48,10 @@ import (
 // cache that holds pointers, and it is bounded to digestMemoSize tokens.
 // It is purely a compute cache: a token it does not hold is hashed again,
 // giving the same digest and so the same entry key, so neither the hit
-// ratio nor any decision depends on what it holds.
+// ratio nor any decision depends on what it holds. The saving therefore
+// holds while a Host's traffic reuses at most digestMemoSize (1 024)
+// tokens at a time; beyond that a hit hashes its token as it would
+// without the memo, plus one failed memo lookup.
 type DecisionCache struct {
 	shards   [cacheShards]cacheShard
 	perShard int
@@ -103,7 +106,9 @@ type cacheShard struct {
 //
 // Either way b holds its bytes verbatim, with their length in n, when they
 // fit, and their SHA-256 otherwise, with n = hashedKey. Two distinct keys
-// therefore share a slot only on a SHA-256 collision.
+// therefore share a slot only on a SHA-256 collision. A Check key keeps
+// the digest beside resource‖0‖action, rather than one hash of both, so
+// a hit with a short resource runs no SHA-256 block at all.
 type entryKey struct {
 	tok  tokenDigest
 	b    [sha256.Size]byte
@@ -252,16 +257,22 @@ const (
 
 // digestShard is one stripe of the token-digest memo. keys holds its
 // tokens in insertion order as a ring; next is the oldest, which a full
-// stripe evicts.
+// stripe evicts. seen holds the digests, folded to 64 bits and
+// direct-mapped, of tokens that recently missed once: a token is added on
+// its second miss (see digest).
 type digestShard struct {
 	mu   sync.RWMutex
 	m    map[string]tokenDigest
 	keys []string
 	next int
+	seen [digestMemoSize / digestMemoShards]atomic.Uint64
 }
 
 // digest returns the SHA-256 of tok, from the memo when it holds tok and
-// otherwise computed and added to the memo.
+// otherwise computed. A token is memoised on its second miss while seen
+// still remembers the first, so a Host presented with more distinct
+// tokens than the memo holds pays, for each one it lacks, the hash and
+// one atomic swap: no lock, copy or eviction.
 func (c *DecisionCache) digest(tok string) tokenDigest {
 	if len(tok) > maxMemoToken {
 		return sha256.Sum256([]byte(tok))
@@ -280,18 +291,22 @@ func (c *DecisionCache) digest(tok string) tokenDigest {
 	if ok {
 		return d
 	}
-	return m.add(tok)
+	var buf [512]byte
+	d = sha256.Sum256(append(buf[:0], tok...))
+	x := binary.LittleEndian.Uint64(d[:8])
+	if m.seen[x%uint64(len(m.seen))].Swap(x) == x {
+		m.add(tok, d)
+	}
+	return d
 }
 
-// add hashes tok and memoises its digest. It keeps a copy of tok, so the
-// memo never pins the larger string a token was sliced from.
-func (m *digestShard) add(tok string) tokenDigest {
-	var buf [maxMemoToken]byte
-	d := sha256.Sum256(append(buf[:0], tok...))
+// add memoises tok's digest d. It keeps a copy of tok, so the memo never
+// pins the larger string a token was sliced from.
+func (m *digestShard) add(tok string, d tokenDigest) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.m[tok]; ok {
-		return d // a concurrent miss on the same token added it
+		return // a concurrent miss on the same token added it
 	}
 	if m.m == nil {
 		m.m = make(map[string]tokenDigest, digestMemoSize/digestMemoShards)
@@ -305,7 +320,6 @@ func (m *digestShard) add(tok string) tokenDigest {
 		m.next = (m.next + 1) % len(m.keys)
 	}
 	m.m[tok] = d
-	return d
 }
 
 // shardFor picks k's lock stripe. Mixing in the first bytes of a Check

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -114,30 +115,88 @@ func TestTokenDigestIsExact(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckHit is the Host's budget line for the Section V.B.6 fast
-// path: a Check answered from the decision cache, with the shape of the
-// benchmark's host_mix reads — 64 owners, each presenting one token the
-// AM minted, over 2 048 resources, visited in a fixed random order. Every
-// Check is a cache hit; the cache is filled through Check against a fake
-// AM beforehand.
-func BenchmarkCheckHit(b *testing.B) {
-	const owners, resources = 64, 2048
-	am, _ := permitAM(b)
-	f := newHostFixture(b, am.URL, owners)
-	res := make([]core.ResourceID, resources)
-	for i := range res {
-		res[i] = core.ResourceID("z" + strconv.Itoa(i))
-		f.check(b, i%owners, res[i])
+// TestDigestMemoConcurrent: goroutines digesting overlapping tokens, so
+// memo hits, first and second misses, double adds and evictions race on
+// the same stripes (run under -race), all get each token's SHA-256.
+func TestDigestMemoConcurrent(t *testing.T) {
+	c := NewDecisionCache()
+	toks := make([]string, 2*digestMemoSize)
+	for i := range toks {
+		toks[i] = "tok-" + strconv.Itoa(i)
 	}
-	order := rand.New(rand.NewSource(1)).Perm(resources)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := range b.N {
-		i := order[n%resources]
-		o := i % owners
-		r, err := f.e.Check(f.reqs[o], f.owners[o], "photos", res[i], core.ActionRead)
-		if err != nil || !r.CacheHit {
-			b.Fatalf("Check = %+v, %v; want a cache hit", r, err)
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 * len(toks) {
+				tok := toks[(i*7+g*131)%len(toks)]
+				if c.digest(tok) != sha256.Sum256([]byte(tok)) {
+					t.Errorf("digest of %q is not its SHA-256", tok)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestDigestMemoAdmitsOnSecondMiss: a token's digest is memoised on its
+// second miss, not its first, so tokens presented once are never copied
+// into the memo.
+func TestDigestMemoAdmitsOnSecondMiss(t *testing.T) {
+	c := NewDecisionCache()
+	held := func(tok string) bool {
+		for i := range c.memo {
+			if _, ok := c.memo[i].m[tok]; ok {
+				return true
+			}
 		}
+		return false
+	}
+	for _, want := range []bool{false, true, true} {
+		c.digest("tok123")
+		if got := held("tok123"); got != want {
+			t.Fatalf("memo holds the token: %v, want %v", got, want)
+		}
+	}
+}
+
+// BenchmarkCheckHit is the Host's budget line for the Section V.B.6 fast
+// path: a Check answered from the decision cache. Every Check is a cache
+// hit; the cache is filled through Check against a fake AM beforehand.
+//
+//   - tokens=64 has the shape of the benchmark's host_mix reads: 64
+//     owners, each presenting one token the AM minted, over 2 048
+//     resources visited in a fixed random order, so every token's digest
+//     is memoised.
+//   - tokens=4096 cycles through four memos' worth of tokens, one resource
+//     each, so each token's digest has been evicted, or was never added,
+//     before it comes round again: every Check hashes its token.
+func BenchmarkCheckHit(b *testing.B) {
+	am, _ := permitAM(b)
+	for _, tc := range []struct{ owners, resources int }{
+		{64, 2048},
+		{4 * digestMemoSize, 4 * digestMemoSize},
+	} {
+		b.Run("tokens="+strconv.Itoa(tc.owners), func(b *testing.B) {
+			f := newHostFixture(b, am.URL, tc.owners)
+			res := make([]core.ResourceID, tc.resources)
+			for i := range res {
+				res[i] = core.ResourceID("z" + strconv.Itoa(i))
+				f.check(b, i%tc.owners, res[i])
+			}
+			order := rand.New(rand.NewSource(1)).Perm(tc.resources)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := range b.N {
+				i := order[n%tc.resources]
+				o := i % tc.owners
+				r, err := f.e.Check(f.reqs[o], f.owners[o], "photos", res[i], core.ActionRead)
+				if err != nil || !r.CacheHit {
+					b.Fatalf("Check = %+v, %v; want a cache hit", r, err)
+				}
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"umac/internal/core"
 )
 
-// extractTokenReference is ExtractToken as it was before its "UMAC "
-// fast path: the oracle FuzzExtractToken holds the function to.
+// extractTokenReference is ExtractToken as it was when it read the header
+// through Header.Get: the oracle FuzzExtractToken holds the function to.
 func extractTokenReference(r *http.Request) (string, bool) {
 	if h := r.Header.Get("Authorization"); h != "" {
 		scheme, tok, ok := strings.Cut(h, " ")

@@ -523,15 +523,10 @@ type CheckResult struct {
 // "Authorization: UMAC <token>" header (preferred), a Bearer header, or the
 // ?token= query parameter (for browser redirects back from the AM).
 func ExtractToken(r *http.Request) (string, bool) {
-	// The common case, an exact "UMAC " prefix, is read without
-	// canonicalising the header name or folding the scheme's case; the
-	// general path below gives the same answer for it.
-	if v := r.Header["Authorization"]; len(v) > 0 && strings.HasPrefix(v[0], TokenScheme+" ") {
-		tok := v[0][len(TokenScheme)+1:]
-		return strings.TrimSpace(tok), tok != ""
-	}
-	if h := r.Header.Get("Authorization"); h != "" {
-		scheme, tok, ok := strings.Cut(h, " ")
+	// Indexed by its canonical name, which is what Header.Get does after
+	// canonicalising the name it is given.
+	if v := r.Header["Authorization"]; len(v) > 0 && v[0] != "" {
+		scheme, tok, ok := strings.Cut(v[0], " ")
 		if ok && (strings.EqualFold(scheme, TokenScheme) || strings.EqualFold(scheme, "Bearer")) {
 			return strings.TrimSpace(tok), tok != ""
 		}
