@@ -248,7 +248,7 @@ func BenchmarkModelComparison(b *testing.B) {
 		w, h := benchWorld(b, 1)
 		pairing, _ := h.Enforcer.PairingFor("bob")
 		rc := &umastate.RequesterClient{ID: "alice-browser", Subject: "alice"}
-		handle, err := rc.EstablishState(w.AMServer.URL, h.ID, "travel", "photo-0000", core.ActionRead)
+		handle, err := rc.Establish(w.AMServer.URL, h.ID, "travel", "photo-0000", core.ActionRead)
 		if err != nil {
 			b.Fatal(err)
 		}

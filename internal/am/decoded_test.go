@@ -48,13 +48,12 @@ func storedKinds() []storedKind {
 			}, {Effect: policy.EffectDeny, Subjects: []policy.Subject{{Type: policy.SubjectUser, Name: "eve"}}}},
 		}, func() any { return new(policy.Policy) }},
 		{kindLinkGen, linkRecord{Policy: "pol-1"}, func() any { return new(linkRecord) }},
+		{kindLinkSpec, linkRecord{Policy: "pol-2"}, func() any { return new(linkRecord) }},
 		{kindGroup, []core.UserID{"alice", "carol"}, func() any { return new([]core.UserID) }},
 		{kindCustodian, []core.UserID{"dave"}, func() any { return new([]core.UserID) }},
 		{kindGrant, grantRecord{Owner: "bob", Requester: "gallery", Subject: "alice",
 			Claims: map[string]string{"paid": "yes", "tier": "gold"}, ConsentGranted: true},
 			func() any { return new(grantRecord) }},
-		{kindAuthState, authState{Handle: "h-1", Requester: "gallery", Subject: "alice", Host: "webpics",
-			Realm: "travel", CreatedAt: time.Now()}, func() any { return new(authState) }},
 		{kindClusterRing, core.RingState{Version: 3, Vnodes: 8, Draining: []string{"shard-c"},
 			Shards: []core.ShardInfo{{Name: "shard-a", Primary: "http://a", Endpoints: []string{"http://a", "http://a2"}}}},
 			func() any { return new(core.RingState) }},

@@ -101,13 +101,10 @@ func (a *AM) Handler() http.Handler {
 	reg("POST", "/api/protect", a.primaryOnly(a.signed(verifier, costMutation, a.handleProtect)))
 	reg("POST", "/api/decision", a.signed(verifier, costDecision, a.handleDecision))
 	reg("POST", "/api/decision/batch", a.signed(verifier, costDecision, a.handleDecisionBatch))
-	reg("POST", "/api/decision/pull", a.signed(verifier, costDecision, a.handlePullDecision))
-	reg("POST", "/api/decision/state", a.signed(verifier, costDecision, a.handleStateDecision))
 
 	// --- Requester-facing ---
 	reg("POST", "/token", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handleToken))))
 	reg("GET", "/token/status", a.ipLimited(costDecision, http.HandlerFunc(a.handleTokenStatus)))
-	reg("POST", "/state", a.primaryOnly(a.ipLimited(costMutation, http.HandlerFunc(a.handleEstablishState))))
 
 	// --- Browser-facing ---
 	reg("GET", "/pair/confirm", a.primaryOnly(a.authed(costMutation, a.handlePairConfirm)))
@@ -504,48 +501,6 @@ func (a *AM) handleDecisionBatch(w http.ResponseWriter, r *http.Request, p Pairi
 		return
 	}
 	writeDecision(w, &resp)
-}
-
-func (a *AM) handlePullDecision(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
-	var req core.PullDecisionQuery
-	if err := webutil.DecodeJSON(body, &req); err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
-	resp, err := a.PullDecide(p.ID, req.Query, req.Subject, req.Requester)
-	if err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
-	writeDecision(w, &resp)
-}
-
-func (a *AM) handleStateDecision(w http.ResponseWriter, r *http.Request, p Pairing, body []byte) {
-	var req core.StateDecisionQuery
-	if err := webutil.DecodeJSON(body, &req); err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
-	resp, err := a.StateDecide(p.ID, req.Query, req.Handle)
-	if err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
-	writeDecision(w, &resp)
-}
-
-func (a *AM) handleEstablishState(w http.ResponseWriter, r *http.Request) {
-	var req core.TokenRequest
-	if err := webutil.ReadJSON(r, &req); err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
-	handle, err := a.EstablishState(req)
-	if err != nil {
-		webutil.Fail(w, r, err)
-		return
-	}
-	webutil.WriteJSON(w, http.StatusOK, core.StateResponse{Handle: handle})
 }
 
 // --- Requester handlers ---

@@ -356,7 +356,7 @@ func TestHTTPExchangeBadCode(t *testing.T) {
 
 func TestHTTPSignedEndpointsRejectUnsigned(t *testing.T) {
 	f := newHTTPFixture(t)
-	for _, path := range []string{"/v1/api/protect", "/v1/api/decision", "/v1/api/decision/pull", "/v1/api/decision/state"} {
+	for _, path := range []string{"/v1/api/protect", "/v1/api/decision", "/v1/api/decision/batch"} {
 		resp, err := http.Post(f.srv.URL+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // the drain ships it) or after (and the losing shard answers wrong_shard,
 // so the client's chase re-routes it to the gaining shard).
 //
-// umacctl migrate-owner and the sim's cluster workload both drive this
+// umacctl migrate-owner and the internal/loadgen scenarios both drive this
 // function; docs/OPERATIONS.md documents it as the 7-step migration drill.
 
 // migrateTailBatch is the per-round record cap of the catch-up and drain

@@ -64,30 +64,6 @@ func (c *Client) DecideBatch(q core.BatchDecisionQuery) (core.BatchDecisionRespo
 	return resp, err
 }
 
-// PullDecide runs a tokenless pull-model decision query (the SSP'09
-// baseline kept for the E9 comparison).
-func (c *Client) PullDecide(q core.PullDecisionQuery) (core.DecisionResponse, error) {
-	var resp core.DecisionResponse
-	err := c.do(http.MethodPost, "/api/decision/pull", nil, q, &resp)
-	return resp, err
-}
-
-// StateDecide runs a decision query in the UMA authorization-state
-// baseline, carrying the handle from EstablishState.
-func (c *Client) StateDecide(q core.StateDecisionQuery) (core.DecisionResponse, error) {
-	var resp core.DecisionResponse
-	err := c.do(http.MethodPost, "/api/decision/state", nil, q, &resp)
-	return resp, err
-}
-
-// EstablishState pre-authorizes in the UMA-state baseline, returning the
-// opaque handle the Host presents in StateDecide queries.
-func (c *Client) EstablishState(req core.TokenRequest) (string, error) {
-	var resp core.StateResponse
-	err := c.do(http.MethodPost, "/state", nil, req, &resp)
-	return resp.Handle, err
-}
-
 // RequestToken asks for an authorization token (Fig. 5). Inspect the
 // response: Token set means granted; Pending() means consent or terms are
 // outstanding (poll TokenStatus / retry with claims). A policy deny is an

@@ -6,9 +6,7 @@
 //
 // The AM records every policy-administration action and every access
 // evaluation here; users query one place regardless of how many Hosts they
-// use. The package also provides the per-Host log used by the baseline
-// comparison (experiment E10), where auditing requires pulling from every
-// Host.
+// use.
 //
 // The log is an append-only run of compact binary records (codec.go) in
 // segments that share the store WAL's segment code (internal/seglog). A

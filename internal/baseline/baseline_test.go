@@ -87,10 +87,11 @@ func TestPullModelDecision(t *testing.T) {
 	if ok {
 		t.Fatal("mallory permitted in pull model")
 	}
-	// Every check is an AM round-trip: the defining pull-model property.
+	// Every check is an AM round-trip, a token request the Host makes and
+	// drops: the defining pull-model property.
 	expectAM(t, w,
-		"POST /v1/api/decision/pull 200",
-		"POST /v1/api/decision/pull 200",
+		"POST /v1/token 200",
+		"POST /v1/token 403",
 	)
 }
 
@@ -109,7 +110,7 @@ func TestStateModelDecision(t *testing.T) {
 
 	w.ResetWire()
 	rc := &umastate.RequesterClient{ID: "alice-browser", Subject: "alice"}
-	handle, err := rc.EstablishState(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
+	handle, err := rc.Establish(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,18 +135,18 @@ func TestStateModelDecision(t *testing.T) {
 		t.Fatal("forged handle permitted")
 	}
 	// State is established once at the AM; each Host check is one
-	// state-decision round-trip.
+	// uncached decision round-trip on the handle.
 	expectAM(t, w,
-		"POST /v1/state 200",
-		"POST /v1/api/decision/state 200",
-		"POST /v1/api/decision/state 200",
+		"POST /v1/token 200",
+		"POST /v1/api/decision 200",
+		"POST /v1/api/decision 200",
 	)
 }
 
 func TestStateEstablishmentDeniedForStranger(t *testing.T) {
 	w, _ := setup(t)
 	rc := &umastate.RequesterClient{ID: "m-app", Subject: "mallory"}
-	_, err := rc.EstablishState(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
+	_, err := rc.Establish(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
 	if !errors.Is(err, core.ErrAccessDenied) {
 		t.Fatalf("err = %v", err)
 	}
@@ -169,7 +170,7 @@ func TestStateIsRealmScoped(t *testing.T) {
 	w.AM.LinkGeneral("bob", "work", p.ID)
 
 	rc := &umastate.RequesterClient{ID: "alice-browser", Subject: "alice"}
-	handle, err := rc.EstablishState(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
+	handle, err := rc.Establish(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestAllModelsAgreeOnOutcome(t *testing.T) {
 		}
 		// State.
 		rc := &umastate.RequesterClient{ID: core.RequesterID(tc.subject + "-app"), Subject: tc.subject}
-		handle, err := rc.EstablishState(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
+		handle, err := rc.Establish(w.AMServer.URL, "webpics", "travel", "photo-1", core.ActionRead)
 		gotState := err == nil
 		if gotState {
 			gotState, err = stateEnf.Check(pairing, handle, "travel", "photo-1", core.ActionRead)

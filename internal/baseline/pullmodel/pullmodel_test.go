@@ -1,34 +1,32 @@
 package pullmodel
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"umac/internal/core"
-	"umac/internal/httpsig"
 	"umac/internal/pep"
 )
 
-// fakeAM verifies the channel signature and scripts a decision.
-func fakeAM(t *testing.T, secret string, decision string) *httptest.Server {
+// fakeAM scripts the token route: it answers status and body to a token
+// request that carries the identities the Host observed.
+func fakeAM(t *testing.T, status int, body any) *httptest.Server {
 	t.Helper()
-	verifier := httpsig.NewVerifier(httpsig.SecretSourceFunc(func(id string) (string, bool) {
-		return secret, true
-	}))
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/api/decision/pull" {
-			http.NotFound(w, r)
-			return
-		}
-		if _, err := verifier.Verify(r); err != nil {
-			http.Error(w, err.Error(), http.StatusUnauthorized)
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/token", func(w http.ResponseWriter, r *http.Request) {
+		var req core.TokenRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil ||
+			req.Host != "webpics" || req.Subject == "" || req.Requester == "" {
+			http.Error(w, "query lacks the observed identities", http.StatusBadRequest)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"decision":"` + decision + `","cache_ttl_seconds":0}`))
-	}))
+		w.WriteHeader(status)
+		json.NewEncoder(w).Encode(body)
+	})
+	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -38,7 +36,7 @@ func pairing(amURL string) pep.Pairing {
 }
 
 func TestCheckPermit(t *testing.T) {
-	srv := fakeAM(t, "s3cret", "permit")
+	srv := fakeAM(t, http.StatusOK, core.TokenResponse{Token: "tok-1", Realm: "travel"})
 	e := New("webpics", nil)
 	ok, err := e.Check(pairing(srv.URL), "alice", "app", "travel", "r", core.ActionRead)
 	if err != nil || !ok {
@@ -47,21 +45,15 @@ func TestCheckPermit(t *testing.T) {
 }
 
 func TestCheckDeny(t *testing.T) {
-	srv := fakeAM(t, "s3cret", "deny")
 	e := New("webpics", nil)
-	ok, err := e.Check(pairing(srv.URL), "mallory", "app", "travel", "r", core.ActionRead)
-	if err != nil || ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
-	}
-}
-
-func TestCheckSignsRequests(t *testing.T) {
-	// The fake AM rejects a wrong secret: Check must surface the failure.
-	srv := fakeAM(t, "different-secret", "permit")
-	e := New("webpics", nil)
-	_, err := e.Check(pairing(srv.URL), "alice", "app", "travel", "r", core.ActionRead)
-	if err == nil || !strings.Contains(err.Error(), "401") {
-		t.Fatalf("err = %v", err)
+	for name, srv := range map[string]*httptest.Server{
+		"denied":  fakeAM(t, http.StatusForbidden, core.NewAPIError(core.CodeAccessDenied, "no rule permits")),
+		"pending": fakeAM(t, http.StatusAccepted, core.TokenResponse{PendingConsent: "ticket-1"}),
+	} {
+		ok, err := e.Check(pairing(srv.URL), "mallory", "app", "travel", "r", core.ActionRead)
+		if err != nil || ok {
+			t.Fatalf("%s: ok=%v err=%v", name, ok, err)
+		}
 	}
 }
 

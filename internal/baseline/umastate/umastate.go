@@ -5,10 +5,14 @@
 // Host when it queries AM for an access control decision" (Section V.B.3 /
 // VIII).
 //
-// The Requester calls EstablishState once per (host, realm) and presents
-// the opaque handle to the Host; the Host includes the handle in each
-// decision query. Compared with the push-token model the AM carries the
-// state, and the Host cannot verify anything locally.
+// The Requester calls Establish once per (host, realm) and presents the
+// opaque handle to the Host; the Host includes the handle in each decision
+// query and caches nothing. The state is what the AM already keeps for a
+// token: the handle is a token from POST /v1/token, its grant record the
+// state, and the Host's check an uncached signed decision query (POST
+// /v1/api/decision) — token introspection, as UMA later defined it. The AM
+// therefore needs no route of its own for this model. Compared with the
+// push-token model every access costs an AM round-trip.
 package umastate
 
 import (
@@ -28,12 +32,12 @@ type RequesterClient struct {
 	HTTP    *http.Client
 }
 
-// EstablishState runs the UMA-style pre-authorization at the AM, returning
-// the state handle to present to the Host. Refusals surface as
-// core.ErrAccessDenied.
-func (c *RequesterClient) EstablishState(amURL string, host core.HostID, realm core.RealmID, res core.ResourceID, action core.Action) (string, error) {
+// Establish runs the UMA-style pre-authorization at the AM, returning the
+// state handle to present to the Host. Refusals, and answers that leave
+// consent or terms outstanding, surface as core.ErrAccessDenied.
+func (c *RequesterClient) Establish(amURL string, host core.HostID, realm core.RealmID, res core.ResourceID, action core.Action) (string, error) {
 	am := amclient.New(amclient.Config{BaseURL: amURL, HTTPClient: c.HTTP})
-	handle, err := am.EstablishState(core.TokenRequest{
+	resp, err := am.RequestToken(core.TokenRequest{
 		Requester: c.ID,
 		Subject:   c.Subject,
 		Host:      host,
@@ -49,8 +53,10 @@ func (c *RequesterClient) EstablishState(amURL string, host core.HostID, realm c
 	case err != nil:
 		// Transport failure — not a denial.
 		return "", fmt.Errorf("umastate: establish: %w", err)
+	case resp.Token == "":
+		return "", fmt.Errorf("%w: state pending", core.ErrAccessDenied)
 	}
-	return handle, nil
+	return resp.Token, nil
 }
 
 // Enforcer is the Host-side checker for the state model.
@@ -67,25 +73,23 @@ func New(host core.HostID, client *http.Client) *Enforcer {
 	return &Enforcer{host: host, client: client}
 }
 
-// Check queries the AM with the Requester's state handle.
+// Check queries the AM with the Requester's state handle. A handle the AM
+// does not recognise, or one established for another realm, is a deny.
 func (e *Enforcer) Check(p pep.Pairing, handle string, realm core.RealmID, res core.ResourceID, action core.Action) (bool, error) {
-	req := core.StateDecisionQuery{
-		Query: core.DecisionQuery{
-			PairingID: p.PairingID,
-			Host:      e.host,
-			Realm:     realm,
-			Resource:  res,
-			Action:    action,
-		},
-		Handle: handle,
-	}
 	am := amclient.New(amclient.Config{
 		BaseURL:    p.AMURL,
 		HTTPClient: e.client,
 		PairingID:  p.PairingID,
 		Secret:     p.Secret,
 	})
-	dec, err := am.StateDecide(req)
+	dec, err := am.Decide(core.DecisionQuery{
+		PairingID: p.PairingID,
+		Host:      e.host,
+		Realm:     realm,
+		Resource:  res,
+		Action:    action,
+		Token:     handle,
+	})
 	if err != nil {
 		return false, fmt.Errorf("umastate: query: %w", err)
 	}

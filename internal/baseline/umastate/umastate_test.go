@@ -12,33 +12,33 @@ import (
 	"umac/internal/pep"
 )
 
-// fakeAM scripts the /state and /api/decision/state endpoints.
+// fakeAM scripts the token route, which grants the handle "tok-1" or
+// refuses, and the signed decision route, which answers decision for that
+// handle and deny for any other.
 func fakeAM(t *testing.T, grantState bool, decision string) *httptest.Server {
 	t.Helper()
 	verifier := httpsig.NewVerifier(httpsig.SecretSourceFunc(func(string) (string, bool) {
 		return "s3cret", true
 	}))
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/state", func(w http.ResponseWriter, r *http.Request) {
-		var req core.TokenRequest
-		json.NewDecoder(r.Body).Decode(&req)
+	mux.HandleFunc("POST /v1/token", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
 		if !grantState {
-			http.Error(w, `{"error":"denied"}`, http.StatusForbidden)
+			w.WriteHeader(http.StatusForbidden)
+			json.NewEncoder(w).Encode(core.NewAPIError(core.CodeAccessDenied, "no rule permits"))
 			return
 		}
-		json.NewEncoder(w).Encode(map[string]string{"handle": "state-1"})
+		json.NewEncoder(w).Encode(core.TokenResponse{Token: "tok-1", Realm: "travel"})
 	})
-	mux.HandleFunc("POST /v1/api/decision/state", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/api/decision", func(w http.ResponseWriter, r *http.Request) {
 		if _, err := verifier.Verify(r); err != nil {
 			http.Error(w, err.Error(), http.StatusUnauthorized)
 			return
 		}
-		var req struct {
-			Handle string `json:"handle"`
-		}
-		json.NewDecoder(r.Body).Decode(&req)
+		var q core.DecisionQuery
+		json.NewDecoder(r.Body).Decode(&q)
 		d := decision
-		if req.Handle != "state-1" {
+		if q.Token != "tok-1" {
 			d = "deny"
 		}
 		w.Write([]byte(`{"decision":"` + d + `"}`))
@@ -51,8 +51,8 @@ func fakeAM(t *testing.T, grantState bool, decision string) *httptest.Server {
 func TestEstablishAndCheck(t *testing.T) {
 	srv := fakeAM(t, true, "permit")
 	rc := &RequesterClient{ID: "app", Subject: "alice"}
-	handle, err := rc.EstablishState(srv.URL, "webpics", "travel", "r", core.ActionRead)
-	if err != nil || handle != "state-1" {
+	handle, err := rc.Establish(srv.URL, "webpics", "travel", "r", core.ActionRead)
+	if err != nil || handle != "tok-1" {
 		t.Fatalf("handle=%q err=%v", handle, err)
 	}
 	e := New("webpics", nil)
@@ -71,7 +71,7 @@ func TestEstablishAndCheck(t *testing.T) {
 func TestEstablishDenied(t *testing.T) {
 	srv := fakeAM(t, false, "deny")
 	rc := &RequesterClient{ID: "app", Subject: "mallory"}
-	_, err := rc.EstablishState(srv.URL, "webpics", "travel", "r", core.ActionRead)
+	_, err := rc.Establish(srv.URL, "webpics", "travel", "r", core.ActionRead)
 	if !errors.Is(err, core.ErrAccessDenied) {
 		t.Fatalf("err = %v", err)
 	}
@@ -87,7 +87,7 @@ func TestCheckTransportError(t *testing.T) {
 
 func TestEstablishTransportError(t *testing.T) {
 	rc := &RequesterClient{ID: "app"}
-	if _, err := rc.EstablishState("http://127.0.0.1:1", "h", "r", "res", core.ActionRead); err == nil {
+	if _, err := rc.Establish("http://127.0.0.1:1", "h", "r", "res", core.ActionRead); err == nil {
 		t.Fatal("no error for unreachable AM")
 	}
 }

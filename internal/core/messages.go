@@ -266,28 +266,6 @@ type ConsentResolveRequest struct {
 	Approve bool `json:"approve"`
 }
 
-// PullDecisionQuery is a tokenless decision query in the pull-model
-// baseline (Section III / SSP'09): the Host asserts the identities it
-// observed instead of presenting an authorization token.
-type PullDecisionQuery struct {
-	Query     DecisionQuery `json:"query"`
-	Subject   UserID        `json:"subject,omitempty"`
-	Requester RequesterID   `json:"requester,omitempty"`
-}
-
-// StateDecisionQuery is a decision query in the UMA authorization-state
-// baseline: the query carries the opaque handle minted by POST /v1/state
-// instead of a token.
-type StateDecisionQuery struct {
-	Query  DecisionQuery `json:"query"`
-	Handle string        `json:"handle"`
-}
-
-// StateResponse answers POST /v1/state with the established handle.
-type StateResponse struct {
-	Handle string `json:"handle"`
-}
-
 // PairingInfo is the redacted pairing record returned by the management
 // listing API (GET /v1/pairings). The channel secret never appears — the
 // struct has no field for it.

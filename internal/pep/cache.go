@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"umac/internal/core"
+	"umac/internal/memo"
 )
 
 // DecisionCache caches AM decisions at the Host so "each subsequent request
@@ -45,11 +46,11 @@ import (
 // Beside the entries the cache keeps a small memo from recently presented
 // tokens to their SHA-256 (see digest), so a cache hit does not
 // re-hash a token of several hundred bytes. It is the only part of the
-// cache that holds pointers, and it is bounded to digestMemoSize tokens.
+// cache that holds pointers, and it is bounded to memo.Size tokens.
 // It is purely a compute cache: a token it does not hold is hashed again,
 // giving the same digest and so the same entry key, so neither the hit
 // ratio nor any decision depends on what it holds. The saving therefore
-// holds while a Host's traffic reuses at most digestMemoSize (1 024)
+// holds while a Host's traffic reuses at most memo.Size (1 024)
 // tokens at a time; beyond that a hit hashes its token as it would
 // without the memo, plus one failed memo lookup.
 type DecisionCache struct {
@@ -62,7 +63,8 @@ type DecisionCache struct {
 	// from.
 	epoch time.Time
 	seed  maphash.Seed
-	memo  [digestMemoShards]digestShard
+	memo  memo.Memo[tokenDigest]
+	seen  [memo.Size]atomic.Uint64
 
 	// gen counts invalidations. A decision-query response that was in
 	// flight when an invalidation landed must not be written back (it was
@@ -243,83 +245,33 @@ func cacheKey(tok tokenDigest, res core.ResourceID, action core.Action) entryKey
 	return k
 }
 
-// digestMemoSize bounds the token-digest memo. It is split into
-// digestMemoShards lock stripes; each keeps the digestMemoSize /
-// digestMemoShards tokens most recently added to it. Tokens longer than
-// maxMemoToken are hashed every time, so the memo holds at most
-// digestMemoSize*maxMemoToken bytes of tokens however large a token a
-// Requester sends.
-const (
-	digestMemoSize   = 1024
-	digestMemoShards = 16
-	maxMemoToken     = 2048
-)
-
-// digestShard is one stripe of the token-digest memo. keys holds its
-// tokens in insertion order as a ring; next is the oldest, which a full
-// stripe evicts. seen holds the digests, folded to 64 bits and
-// direct-mapped, of tokens that recently missed once: a token is added on
-// its second miss (see digest).
-type digestShard struct {
-	mu   sync.RWMutex
-	m    map[string]tokenDigest
-	keys []string
-	next int
-	seen [digestMemoSize / digestMemoShards]atomic.Uint64
-}
+// maxMemoToken caps the tokens the digest memo takes: longer ones are
+// hashed every time, so the memo holds at most memo.Size*maxMemoToken
+// bytes of tokens however large a token a Requester sends.
+const maxMemoToken = 2048
 
 // digest returns the SHA-256 of tok, from the memo when it holds tok and
-// otherwise computed. A token is memoised on its second miss while seen
-// still remembers the first, so a Host presented with more distinct
-// tokens than the memo holds pays, for each one it lacks, the hash and
-// one atomic swap: no lock, copy or eviction.
+// otherwise computed. A token is memoised on its second miss while seen,
+// which holds the digests of tokens that recently missed once, folded to
+// 64 bits and direct-mapped, still remembers the first. So a Host
+// presented with more distinct tokens than the memo holds pays, for each
+// one it lacks, the hash and one atomic swap: no lock, copy or eviction.
 func (c *DecisionCache) digest(tok string) tokenDigest {
 	if len(tok) > maxMemoToken {
 		return sha256.Sum256([]byte(tok))
 	}
-	// The stripe comes from the token's last bytes: the tail of a token
-	// is its MAC, so they are uniform, and reading them costs the same
-	// whatever the token's length.
-	var h uint32
-	for i := max(0, len(tok)-4); i < len(tok); i++ {
-		h = h*31 + uint32(tok[i])
-	}
-	m := &c.memo[h%digestMemoShards]
-	m.mu.RLock()
-	d, ok := m.m[tok]
-	m.mu.RUnlock()
-	if ok {
+	if d, ok := c.memo.Get(tok); ok {
 		return d
 	}
 	var buf [512]byte
-	d = sha256.Sum256(append(buf[:0], tok...))
+	d := sha256.Sum256(append(buf[:0], tok...))
 	x := binary.LittleEndian.Uint64(d[:8])
-	if m.seen[x%uint64(len(m.seen))].Swap(x) == x {
-		m.add(tok, d)
+	if c.seen[x%uint64(len(c.seen))].Swap(x) == x {
+		// A copy, so the memo never pins the larger string a token was
+		// sliced from.
+		c.memo.Add(strings.Clone(tok), d)
 	}
 	return d
-}
-
-// add memoises tok's digest d. It keeps a copy of tok, so the memo never
-// pins the larger string a token was sliced from.
-func (m *digestShard) add(tok string, d tokenDigest) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.m[tok]; ok {
-		return // a concurrent miss on the same token added it
-	}
-	if m.m == nil {
-		m.m = make(map[string]tokenDigest, digestMemoSize/digestMemoShards)
-	}
-	tok = strings.Clone(tok)
-	if len(m.keys) < digestMemoSize/digestMemoShards {
-		m.keys = append(m.keys, tok)
-	} else {
-		delete(m.m, m.keys[m.next])
-		m.keys[m.next] = tok
-		m.next = (m.next + 1) % len(m.keys)
-	}
-	m.m[tok] = d
 }
 
 // shardFor picks k's lock stripe. Mixing in the first bytes of a Check

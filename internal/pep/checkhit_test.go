@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"umac/internal/core"
+	"umac/internal/memo"
 	"umac/internal/token"
 )
 
@@ -65,13 +66,13 @@ func (f *hostFixture) check(t testing.TB, i int, res core.ResourceID) CheckResul
 }
 
 // TestCacheHitsOutliveTheDigestMemo: the token-digest memo holds
-// digestMemoSize tokens, but a decision cached under a token it has
+// memo.Size tokens, but a decision cached under a token it has
 // evicted is still found, because the digest is recomputed exactly. Twice
 // as many tokens as the memo holds are checked once each (every Check a
 // miss), then all again (every Check a hit).
 func TestCacheHitsOutliveTheDigestMemo(t *testing.T) {
 	am, queries := permitAM(t)
-	f := newHostFixture(t, am.URL, 2*digestMemoSize)
+	f := newHostFixture(t, am.URL, 2*memo.Size)
 	for pass, wantHit := range []bool{false, true} {
 		for i := range f.reqs {
 			if r := f.check(t, i, "photo"); r.CacheHit != wantHit {
@@ -86,11 +87,13 @@ func TestCacheHitsOutliveTheDigestMemo(t *testing.T) {
 		t.Fatalf("hits, misses = %d, %d; want %d each", hits, misses, len(f.reqs))
 	}
 	var held int
-	for i := range f.e.cache.memo {
-		held += len(f.e.cache.memo[i].m)
+	for _, r := range f.reqs {
+		if _, ok := f.e.cache.memo.Get(strings.TrimPrefix(r.Header.Get("Authorization"), "UMAC ")); ok {
+			held++
+		}
 	}
-	if held > digestMemoSize {
-		t.Fatalf("the memo holds %d tokens, more than its bound %d", held, digestMemoSize)
+	if held > memo.Size {
+		t.Fatalf("the memo holds %d tokens, more than its bound %d", held, memo.Size)
 	}
 }
 
@@ -106,12 +109,8 @@ func TestTokenDigestIsExact(t *testing.T) {
 			}
 		}
 	}
-	for i := range c.memo {
-		for tok := range c.memo[i].m {
-			if len(tok) > maxMemoToken {
-				t.Fatalf("the memo holds a %d-byte token", len(tok))
-			}
-		}
+	if _, ok := c.memo.Get(strings.Repeat("t", maxMemoToken+1)); ok {
+		t.Fatalf("the memo holds a %d-byte token", maxMemoToken+1)
 	}
 }
 
@@ -120,7 +119,7 @@ func TestTokenDigestIsExact(t *testing.T) {
 // the same stripes (run under -race), all get each token's SHA-256.
 func TestDigestMemoConcurrent(t *testing.T) {
 	c := NewDecisionCache()
-	toks := make([]string, 2*digestMemoSize)
+	toks := make([]string, 2*memo.Size)
 	for i := range toks {
 		toks[i] = "tok-" + strconv.Itoa(i)
 	}
@@ -147,12 +146,8 @@ func TestDigestMemoConcurrent(t *testing.T) {
 func TestDigestMemoAdmitsOnSecondMiss(t *testing.T) {
 	c := NewDecisionCache()
 	held := func(tok string) bool {
-		for i := range c.memo {
-			if _, ok := c.memo[i].m[tok]; ok {
-				return true
-			}
-		}
-		return false
+		_, ok := c.memo.Get(tok)
+		return ok
 	}
 	for _, want := range []bool{false, true, true} {
 		c.digest("tok123")
@@ -177,7 +172,7 @@ func BenchmarkCheckHit(b *testing.B) {
 	am, _ := permitAM(b)
 	for _, tc := range []struct{ owners, resources int }{
 		{64, 2048},
-		{4 * digestMemoSize, 4 * digestMemoSize},
+		{4 * memo.Size, 4 * memo.Size},
 	} {
 		b.Run("tokens="+strconv.Itoa(tc.owners), func(b *testing.B) {
 			f := newHostFixture(b, am.URL, tc.owners)

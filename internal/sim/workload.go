@@ -160,7 +160,7 @@ func runModel(model Model, resources, accessesPerResource int) (ComparisonResult
 		}
 	case ModelUMAState:
 		rc := &umastate.RequesterClient{ID: "alice-browser", Subject: "alice"}
-		handle, err := rc.EstablishState(w.AMServer.URL, h.ID, "travel", "photo-0000", core.ActionRead)
+		handle, err := rc.Establish(w.AMServer.URL, h.ID, "travel", "photo-0000", core.ActionRead)
 		if err != nil {
 			return result, err
 		}

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"umac/internal/memo"
 )
 
 // BenchmarkValidate measures Validate on a token the memo holds (hit) and
@@ -13,7 +15,7 @@ import (
 // each one has been evicted before it comes round again.
 func BenchmarkValidate(b *testing.B) {
 	s := NewService([]byte("bench-key"), time.Hour)
-	toks := make([]string, 4*memoSize)
+	toks := make([]string, 4*memo.Size)
 	for i := range toks {
 		tok, _, err := s.Mint("gallery", "alice", "webpics", "travel")
 		if err != nil {

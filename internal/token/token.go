@@ -22,10 +22,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"umac/internal/core"
+	"umac/internal/memo"
 )
 
 // Claims is the payload bound into an authorization token.
@@ -56,64 +56,10 @@ type Service struct {
 	// its claims, so a Requester's token, which it presents on every
 	// access, is verified and decoded once. The same bytes under the same
 	// key always get the same verdict, so a hit admits nothing verify
-	// would reject; expiry is rechecked on every hit.
-	memo [memoShards]memoShard
-}
-
-// memoSize bounds the validated-token memo. It is split into memoShards
-// lock stripes, so concurrent misses on different tokens rarely wait for
-// each other; each stripe keeps the memoSize/memoShards tokens most
-// recently added to it.
-const (
-	memoSize   = 1024
-	memoShards = 16
-)
-
-// memoShard is one stripe of the memo. keys holds its tokens in insertion
-// order as a ring; next is the oldest, which a full stripe evicts.
-type memoShard struct {
-	mu   sync.RWMutex
-	m    map[string]Claims
-	keys []string
-	next int
-}
-
-// shard picks tok's stripe from its last bytes: the tail of a token is
-// its HMAC, so they are uniform. Any other string only ever misses.
-func (s *Service) shard(tok string) *memoShard {
-	var h uint32
-	for i := max(0, len(tok)-4); i < len(tok); i++ {
-		h = h*31 + uint32(tok[i])
-	}
-	return &s.memo[h%memoShards]
-}
-
-func (m *memoShard) get(tok string) (Claims, bool) {
-	m.mu.RLock()
-	c, ok := m.m[tok]
-	m.mu.RUnlock()
-	return c, ok
-}
-
-// add memoises tok. It keeps tok itself, not a copy: a token sliced from
-// a larger string pins that string, and the memo holds at most memoSize.
-func (m *memoShard) add(tok string, c Claims) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.m[tok]; ok {
-		return // a concurrent miss on the same token added it
-	}
-	if m.m == nil {
-		m.m = make(map[string]Claims, memoSize/memoShards)
-	}
-	if len(m.keys) < memoSize/memoShards {
-		m.keys = append(m.keys, tok)
-	} else {
-		delete(m.m, m.keys[m.next])
-		m.keys[m.next] = tok
-		m.next = (m.next + 1) % len(m.keys)
-	}
-	m.m[tok] = c
+	// would reject; expiry is rechecked on every hit. It keeps tok itself,
+	// not a copy: a token sliced from a larger string pins that string,
+	// and the memo holds at most memo.Size.
+	memo memo.Memo[Claims]
 }
 
 // DefaultTTL is the token lifetime used when NewService receives ttl <= 0.
@@ -174,7 +120,7 @@ func (s *Service) Mint(requester core.RequesterID, subject core.UserID, host cor
 
 // Validate checks the token's signature and expiry and returns its claims.
 func (s *Service) Validate(tok string) (Claims, error) {
-	c, ok := s.shard(tok).get(tok)
+	c, ok := s.memo.Get(tok)
 	if !ok {
 		var err error
 		if c, err = s.check(tok); err != nil {
@@ -197,7 +143,7 @@ func (s *Service) check(tok string) (Claims, error) {
 	if err := json.Unmarshal(payload, &c); err != nil {
 		return Claims{}, fmt.Errorf("%w: bad claims: %v", core.ErrTokenInvalid, err)
 	}
-	s.shard(tok).add(tok, c)
+	s.memo.Add(tok, c)
 	return c, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"umac/internal/core"
+	"umac/internal/memo"
 )
 
 func newTestService() *Service {
@@ -117,13 +118,14 @@ func TestValidateRejectsExpired(t *testing.T) {
 	}
 }
 
-// TestValidateMemoIsBounded: each memo stripe holds the tokens most
-// recently added to it, at most memoSize/memoShards of them, and a token
-// evicted from it still validates (by the full check).
+// TestValidateMemoIsBounded: validating more tokens than the memo holds
+// leaves it holding at most memo.Size of them, the latest among them, and
+// a token evicted from it still validates (by the full check). The
+// per-stripe eviction order is internal/memo's TestMemoIsBounded.
 func TestValidateMemoIsBounded(t *testing.T) {
 	s := newTestService()
-	perShard := map[*memoShard][]string{}
-	for range 4 * memoSize {
+	toks := make([]string, 4*memo.Size)
+	for i := range toks {
 		tok, _, err := s.Mint("gallery", "alice", "webpics", "travel")
 		if err != nil {
 			t.Fatal(err)
@@ -131,33 +133,30 @@ func TestValidateMemoIsBounded(t *testing.T) {
 		if _, err := s.Validate(tok); err != nil {
 			t.Fatal(err)
 		}
-		perShard[s.shard(tok)] = append(perShard[s.shard(tok)], tok)
+		toks[i] = tok
 	}
-	if len(perShard) != memoShards {
-		t.Fatalf("tokens spread over %d stripes, want %d", len(perShard), memoShards)
-	}
-	const keep = memoSize / memoShards
-	for m, toks := range perShard {
-		if len(m.m) != min(len(toks), keep) {
-			t.Fatalf("stripe holds %d of its %d tokens, bound %d", len(m.m), len(toks), keep)
-		}
-		for i, tok := range toks {
-			if _, held := m.m[tok]; held != (i >= len(toks)-keep) {
-				t.Fatalf("token %d of the %d in its stripe: memoised = %v", i, len(toks), held)
-			}
+	held, evicted := 0, ""
+	for _, tok := range toks {
+		if _, ok := s.memo.Get(tok); ok {
+			held++
+		} else if evicted == "" {
+			evicted = tok
 		}
 	}
-	for m, toks := range perShard {
-		if len(toks) <= keep {
-			continue
-		}
-		if _, err := s.Validate(toks[0]); err != nil {
-			t.Fatalf("evicted token rejected: %v", err)
-		}
-		if _, held := m.m[toks[len(toks)-keep]]; held {
-			t.Fatal("re-adding an evicted token did not evict its stripe's oldest")
-		}
-		break
+	if held > memo.Size {
+		t.Fatalf("the memo holds %d tokens, more than its bound %d", held, memo.Size)
+	}
+	if _, ok := s.memo.Get(toks[len(toks)-1]); !ok {
+		t.Fatal("the token validated last is not memoised")
+	}
+	if evicted == "" {
+		t.Fatal("no token was evicted")
+	}
+	if _, err := s.Validate(evicted); err != nil {
+		t.Fatalf("evicted token rejected: %v", err)
+	}
+	if _, ok := s.memo.Get(evicted); !ok {
+		t.Fatal("an evicted token's full check did not memoise it again")
 	}
 }
 
@@ -166,7 +165,7 @@ func TestValidateMemoIsBounded(t *testing.T) {
 // (run under -race), all get each token's own claims.
 func TestValidateMemoConcurrent(t *testing.T) {
 	s := newTestService()
-	toks := make([]string, 2*memoSize)
+	toks := make([]string, 2*memo.Size)
 	ids := make([]string, len(toks))
 	for i := range toks {
 		tok, c, err := s.Mint("gallery", "alice", "webpics", "travel")
