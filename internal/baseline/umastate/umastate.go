@@ -33,8 +33,9 @@ type RequesterClient struct {
 }
 
 // Establish runs the UMA-style pre-authorization at the AM, returning the
-// state handle to present to the Host. Refusals, and answers that leave
-// consent or terms outstanding, surface as core.ErrAccessDenied.
+// state handle to present to the Host. Policy refusals, and answers that
+// leave consent or terms outstanding, surface as core.ErrAccessDenied;
+// any other failure is an error that is not a denial.
 func (c *RequesterClient) Establish(amURL string, host core.HostID, realm core.RealmID, res core.ResourceID, action core.Action) (string, error) {
 	am := amclient.New(amclient.Config{BaseURL: amURL, HTTPClient: c.HTTP})
 	resp, err := am.RequestToken(core.TokenRequest{
@@ -45,13 +46,11 @@ func (c *RequesterClient) Establish(amURL string, host core.HostID, realm core.R
 		Resource:  res,
 		Action:    action,
 	})
-	var ae *core.APIError
 	switch {
-	case errors.As(err, &ae):
-		// The AM answered with an error response: the state was refused.
-		return "", fmt.Errorf("%w: state refused: %v", core.ErrAccessDenied, err)
+	case errors.Is(err, core.ErrAccessDenied):
+		return "", fmt.Errorf("umastate: state refused: %w", err)
 	case err != nil:
-		// Transport failure — not a denial.
+		// Transport failure, unknown realm, throttling — not a denial.
 		return "", fmt.Errorf("umastate: establish: %w", err)
 	case resp.Token == "":
 		return "", fmt.Errorf("%w: state pending", core.ErrAccessDenied)

@@ -77,6 +77,22 @@ func TestEstablishDenied(t *testing.T) {
 	}
 }
 
+// TestEstablishOtherErrorIsNoDenial: an AM error other than
+// access_denied (here an unknown realm) is a failure, not a refusal.
+func TestEstablishOtherErrorIsNoDenial(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(core.NewAPIError(core.CodeUnknownRealm, "realm ghosts"))
+	}))
+	t.Cleanup(srv.Close)
+	rc := &RequesterClient{ID: "app", Subject: "alice"}
+	_, err := rc.Establish(srv.URL, "webpics", "ghosts", "r", core.ActionRead)
+	if err == nil || errors.Is(err, core.ErrAccessDenied) {
+		t.Fatalf("err = %v, want an error that is not a denial", err)
+	}
+}
+
 func TestCheckTransportError(t *testing.T) {
 	e := New("webpics", nil)
 	p := pep.Pairing{AMURL: "http://127.0.0.1:1", PairingID: "x", Secret: "y"}
