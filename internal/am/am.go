@@ -46,7 +46,6 @@ const (
 	kindLinkSpec  = "link-specific" // key owner/host/resource   → linkRecord
 	kindGroup     = "group"         // key owner/group           → []core.UserID
 	kindCustodian = "custodian"     // key owner                 → []core.UserID
-	kindGrant     = "grant"         // key token claim ID        → grantRecord
 )
 
 // Pairing is the durable trust relationship between a Host and this AM.
@@ -76,20 +75,6 @@ type Realm struct {
 // linkRecord binds a realm or resource to a policy.
 type linkRecord struct {
 	Policy core.PolicyID `json:"policy"`
-}
-
-// grantRecord remembers the context under which a token was issued, so
-// decision queries re-evaluate with the same satisfied obligations (the
-// consent the user gave, the claims the requester presented). Owner is the
-// realm owner the grant was issued against: the key the sharded cluster's
-// owner-closure stream filters grants by (absent in pre-cluster records,
-// which decode with an empty owner and simply never migrate).
-type grantRecord struct {
-	Owner          core.UserID       `json:"owner,omitempty"`
-	Requester      core.RequesterID  `json:"requester"`
-	Subject        core.UserID       `json:"subject,omitempty"`
-	Claims         map[string]string `json:"claims,omitempty"`
-	ConsentGranted bool              `json:"consent_granted,omitempty"`
 }
 
 // Config configures an AM.

@@ -687,7 +687,7 @@ func TestTermsFlow(t *testing.T) {
 	if err != nil || resp.Token == "" {
 		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
-	// The decision path re-evaluates with the stored grant claims.
+	// The decision path re-evaluates with the claims the token carries.
 	dec, err := a.Decide(pairing.PairingID, core.DecisionQuery{
 		Host: "webpics", Realm: "shop", Resource: "print-1",
 		Action: core.ActionRead, Token: resp.Token,

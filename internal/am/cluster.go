@@ -302,8 +302,8 @@ func (a *AM) ClearOwnerShard(owner core.UserID) error {
 
 // ownerOf classifies a store entity to the owner whose closure it belongs
 // to — the forward direction of replOwnerKeep's predicate, sharing its
-// kind-by-kind ownership encoding. Ownerless entities (system state,
-// grants predating the cluster) report ok=false. It runs under store
+// kind-by-kind ownership encoding. Ownerless entities (system state, and
+// the inert `grant` records older builds wrote) report ok=false. It runs under store
 // locks and must not call back into the store.
 func ownerOf(e store.Entity) (core.UserID, bool) {
 	switch e.Kind {
@@ -312,7 +312,7 @@ func ownerOf(e store.Entity) (core.UserID, bool) {
 		return core.UserID(owner), ok
 	case kindCustodian, kindShardOverride:
 		return core.UserID(e.Key), true
-	case kindPairing, kindRealm, kindPolicy, kindGrant:
+	case kindPairing, kindRealm, kindPolicy:
 		var doc ownerDoc
 		if json.Unmarshal(e.Data, &doc) != nil {
 			return "", false
@@ -395,7 +395,7 @@ func replOwnerKeep(owner core.UserID) func(core.ReplRecord) bool {
 			return strings.HasPrefix(rec.Key, prefix)
 		case kindCustodian, kindShardOverride:
 			return rec.Key == string(owner)
-		case kindPairing, kindRealm, kindPolicy, kindGrant:
+		case kindPairing, kindRealm, kindPolicy:
 			if rec.Op == core.ReplOpDelete {
 				return true
 			}

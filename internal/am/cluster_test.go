@@ -249,7 +249,7 @@ func TestOwnerClosureSnapshotAndImport(t *testing.T) {
 	for _, rec := range snap.Records {
 		kinds[rec.Kind]++
 	}
-	for _, kind := range []string{kindPairing, kindRealm, kindPolicy, kindLinkGen, kindGroup, kindGrant} {
+	for _, kind := range []string{kindPairing, kindRealm, kindPolicy, kindLinkGen, kindGroup} {
 		if kinds[kind] == 0 {
 			t.Fatalf("owner closure misses kind %s: %v", kind, kinds)
 		}

@@ -173,7 +173,7 @@ func (a *AM) ResolveConsent(actor core.UserID, ticket string, approve bool) erro
 		a.publishConsent(t.owner, ticket, false, core.TokenResponse{})
 		return fmt.Errorf("%w: consent given but policy still denies: %s", core.ErrAccessDenied, res.Reason)
 	}
-	tok, err := a.grantTokenWithConsent(t.req, realm)
+	tok, err := a.grantToken(t.req, realm, true)
 	if err != nil {
 		return err
 	}

@@ -51,9 +51,6 @@ func storedKinds() []storedKind {
 		{kindLinkSpec, linkRecord{Policy: "pol-2"}, func() any { return new(linkRecord) }},
 		{kindGroup, []core.UserID{"alice", "carol"}, func() any { return new([]core.UserID) }},
 		{kindCustodian, []core.UserID{"dave"}, func() any { return new([]core.UserID) }},
-		{kindGrant, grantRecord{Owner: "bob", Requester: "gallery", Subject: "alice",
-			Claims: map[string]string{"paid": "yes", "tier": "gold"}, ConsentGranted: true},
-			func() any { return new(grantRecord) }},
 		{kindClusterRing, core.RingState{Version: 3, Vnodes: 8, Draining: []string{"shard-c"},
 			Shards: []core.ShardInfo{{Name: "shard-a", Primary: "http://a", Endpoints: []string{"http://a", "http://a2"}}}},
 			func() any { return new(core.RingState) }},
@@ -278,13 +275,11 @@ func FuzzStoreDecodedRead(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"resources":["a",1]}`))
-	f.Add([]byte(`{"claims":{"a":"b","a":"c"},"Claims":null}`))
 	f.Add([]byte(`{"rules":[{"subjects":["user:"]}]}`))
 	f.Add([]byte(`null`))
 	targets := []func() any{
 		func() any { return new(Pairing) },
 		func() any { return new(Realm) },
-		func() any { return new(grantRecord) },
 		func() any { return new(policy.Policy) },
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -35,6 +35,18 @@ func TestCostLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Tokens never presented before, each carrying a term and consent, as
+	// the memo misses them on first use; minted before counting.
+	unseen := make([]string, 256)
+	for i := range unseen {
+		if unseen[i], _, err = svc.MintClaims(token.Claims{Requester: "printshop", Subject: "alice",
+			Host: "webpics", Realm: "shop", Terms: map[string]string{"payment": "rcpt-42"}, Consent: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextUnseen := 0
+	issue := core.TokenRequest{Requester: "alice-browser", Subject: "alice", Host: "webpics",
+		Realm: "travel", Resource: "photo", Action: core.ActionRead}
 
 	// A struct without slices, maps or pointers: a Get hit is a copy.
 	type flat struct {
@@ -51,7 +63,7 @@ func TestCostLedger(t *testing.T) {
 		ceiling float64
 		op      func() error
 	}{
-		{"AM.Decide", 8, func() error {
+		{"AM.Decide", 7, func() error {
 			d, err := a.Decide(pairingID, core.DecisionQuery{Host: "webpics", Realm: "travel",
 				Resource: fresh(), Action: core.ActionRead, Token: tok})
 			if err == nil && !d.Permit() {
@@ -59,15 +71,27 @@ func TestCostLedger(t *testing.T) {
 			}
 			return err
 		}},
-		{"AM.DecideBatch/16", 55, func() error {
+		{"AM.DecideBatch/16", 54, func() error {
 			for i := range batch.Items {
 				batch.Items[i] = core.BatchDecisionItem{Realm: "travel", Resource: fresh(), Action: core.ActionRead}
 			}
 			_, err := a.DecideBatch(pairingID, batch)
 			return err
 		}},
+		{"AM.IssueToken/permit", 23, func() error {
+			resp, err := a.IssueToken(issue)
+			if err == nil && resp.Token == "" {
+				err = fmt.Errorf("no token: %+v", resp)
+			}
+			return err
+		}},
 		{"token.Validate/memo-hit", 0, func() error {
 			_, err := svc.Validate(minted)
+			return err
+		}},
+		{"token.Validate/miss", 26, func() error {
+			nextUnseen++
+			_, err := svc.Validate(unseen[nextUnseen])
 			return err
 		}},
 		{"store.Get/hit-no-slices", 0, func() error {

@@ -1,6 +1,7 @@
 package am
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -14,6 +15,14 @@ import (
 // This file is the policy decision point (PDP) and token service: the
 // Fig. 5 token endpoint and the Fig. 6 decision endpoint.
 
+// maxClaimBytes caps the claims a token request presents, counted as the
+// token carries them: the JSON object of claim names and values. A permit
+// signs the claims into the token, which then travels on every access, so
+// outside input must not grow it without bound. With requester, subject,
+// host and realm of up to 64 bytes each, a token minted at the cap stays
+// within the 2 048 bytes a Host memoises the digest of.
+const maxClaimBytes = 1024
+
 // IssueToken evaluates a Requester's access request and, on permit, mints
 // an authorization token bound to (requester, host, realm) — Fig. 5. The
 // outcomes map to the paper's Section V.D extensions:
@@ -23,7 +32,16 @@ import (
 //     Requester↔AM interaction);
 //   - terms unsatisfied   → TokenResponse listing RequiredTerms;
 //   - deny                → core.ErrAccessDenied.
+//
+// Claims over maxClaimBytes are refused as bad_request.
 func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
+	if len(req.Claims) > 0 {
+		// A map of strings always encodes.
+		if b, _ := json.Marshal(req.Claims); len(b) > maxClaimBytes {
+			return core.TokenResponse{}, core.APIErrorf(core.CodeBadRequest,
+				"am: claims encode to %d bytes, over the %d-byte cap", len(b), maxClaimBytes)
+		}
+	}
 	realm, err := a.LookupRealm(req.Host, req.Realm)
 	if err != nil {
 		return core.TokenResponse{}, err
@@ -36,7 +54,7 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 	res := a.evaluate(req, realm, false)
 	switch {
 	case res.Decision == core.DecisionPermit:
-		return a.grantToken(req, realm, res)
+		return a.grantToken(req, realm, false)
 	case res.RequireConsent:
 		ticket, err := a.openConsent(req, realm)
 		if err != nil {
@@ -61,54 +79,26 @@ func (a *AM) IssueToken(req core.TokenRequest) (core.TokenResponse, error) {
 	}
 }
 
-// grantToken mints the token and records the grant context for decision-
-// time re-evaluation.
-func (a *AM) grantToken(req core.TokenRequest, realm Realm, res policy.Result) (core.TokenResponse, error) {
-	tok, claims, err := a.tokens.Mint(req.Requester, req.Subject, req.Host, req.Realm)
-	if err != nil {
-		return core.TokenResponse{}, err
-	}
-	grant := grantRecord{
-		Owner:     realm.Owner,
-		Requester: req.Requester,
-		Subject:   req.Subject,
-		Claims:    req.Claims,
-		// ConsentGranted stays false: this is the no-consent-needed path;
-		// grantTokenWithConsent handles the consent-approved path.
-	}
-	if _, err := a.store.Put(kindGrant, claims.ID, grant); err != nil {
-		return core.TokenResponse{}, fmt.Errorf("am: persist grant: %w", err)
-	}
-	a.auditPipe.Enqueue(audit.Event{
-		Type: audit.EventTokenIssued, Owner: realm.Owner, Host: req.Host,
-		Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
-		Subject: req.Subject, Action: req.Action, Detail: claims.ID,
+// grantToken mints the token. The grant context a decision query
+// re-evaluates under — the claims the Requester presented, and whether
+// the owner consented — travels signed inside the token, so nothing is
+// stored.
+func (a *AM) grantToken(req core.TokenRequest, realm Realm, consent bool) (core.TokenResponse, error) {
+	tok, claims, err := a.tokens.MintClaims(token.Claims{
+		Requester: req.Requester, Subject: req.Subject, Host: req.Host, Realm: req.Realm,
+		Terms: req.Claims, Consent: consent,
 	})
-	return core.TokenResponse{Token: tok, Realm: req.Realm, ExpiresAt: claims.ExpiresAt}, nil
-}
-
-// grantTokenWithConsent is grantToken for the consent-approved path; the
-// grant records that the owner consented so decision queries re-evaluate
-// with ConsentGranted.
-func (a *AM) grantTokenWithConsent(req core.TokenRequest, realm Realm) (core.TokenResponse, error) {
-	tok, claims, err := a.tokens.Mint(req.Requester, req.Subject, req.Host, req.Realm)
 	if err != nil {
 		return core.TokenResponse{}, err
 	}
-	grant := grantRecord{
-		Owner:          realm.Owner,
-		Requester:      req.Requester,
-		Subject:        req.Subject,
-		Claims:         req.Claims,
-		ConsentGranted: true,
-	}
-	if _, err := a.store.Put(kindGrant, claims.ID, grant); err != nil {
-		return core.TokenResponse{}, fmt.Errorf("am: persist grant: %w", err)
+	detail := claims.ID
+	if consent {
+		detail += " (consented)"
 	}
 	a.auditPipe.Enqueue(audit.Event{
 		Type: audit.EventTokenIssued, Owner: realm.Owner, Host: req.Host,
 		Realm: req.Realm, Resource: req.Resource, Requester: req.Requester,
-		Subject: req.Subject, Action: req.Action, Detail: claims.ID + " (consented)",
+		Subject: req.Subject, Action: req.Action, Detail: detail,
 	})
 	return core.TokenResponse{Token: tok, Realm: req.Realm, ExpiresAt: claims.ExpiresAt}, nil
 }
@@ -139,16 +129,14 @@ func (a *AM) evaluateWith(req core.TokenRequest, realm Realm, consent bool, gene
 }
 
 // decideCtx memoizes the lookups shared by the items of one batch decision
-// query: realm resolution and its general policy, token validation and
-// grant-context recovery. A batch of N items for one page of resources
-// typically carries one token and one realm, so the whole batch costs one
-// validation and one realm fetch — and, each memo holding its first entry
-// inline, no map at all.
+// query: realm resolution and its general policy, and token validation. A
+// batch of N items for one page of resources typically carries one token
+// and one realm, so the whole batch costs one validation and one realm
+// fetch — and, each memo holding its first entry inline, no map at all.
 type decideCtx struct {
 	realms   memo[core.RealmID, realmLookup]
 	generals memo[core.RealmID, *policy.CompiledPolicy]
 	tokens   memo[string, tokenLookup]
-	grants   memo[string, grantRecord]
 }
 
 // memo is a lookup cache whose first entry needs no allocation; a map is
@@ -216,16 +204,6 @@ func (a *AM) tokenCached(ctx *decideCtx, tok string) (token.Claims, error) {
 	return claims, err
 }
 
-func (a *AM) grantCached(ctx *decideCtx, claimID string) grantRecord {
-	if g, ok := ctx.grants.get(claimID); ok {
-		return g
-	}
-	var grant grantRecord
-	a.store.Get(kindGrant, claimID, &grant)
-	ctx.grants.put(claimID, grant)
-	return grant
-}
-
 // Decide answers a Host's decision query — Fig. 6. The pairingID is the
 // authenticated channel identity established by httpsig; the query is
 // rejected unless the pairing's Host matches the query's Host.
@@ -252,9 +230,9 @@ func (a *AM) decide(pairing Pairing, q core.DecisionQuery) (core.DecisionRespons
 }
 
 // DecideBatch answers a batched decision query — N Fig. 6 queries in one
-// signed round-trip. The pairing is authenticated once; realm lookups,
-// token validations and grant fetches are memoized across items, and the
-// items' audit events go to the pipeline in one send. Item-level failures
+// signed round-trip. The pairing is authenticated once; realm lookups and
+// token validations are memoized across items, and the items' audit
+// events go to the pipeline in one send. Item-level failures
 // (unknown realm, storage errors) deny that item with Error set instead of
 // failing the batch, so one bad item cannot veto a page load.
 func (a *AM) DecideBatch(pairingID string, q core.BatchDecisionQuery) (core.BatchDecisionResponse, error) {
@@ -352,11 +330,9 @@ func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResp
 		return deny("token out of scope: " + err.Error())
 	}
 
-	// Recover the grant context (claims presented, consent given) so the
-	// re-evaluation reproduces the conditions under which the token was
-	// issued.
-	grant := a.grantCached(ctx, claims.ID)
-
+	// Re-evaluate under the grant context the token carries (claims
+	// presented, consent given), so the decision reproduces the conditions
+	// under which the token was issued.
 	req := core.TokenRequest{
 		Requester: claims.Requester,
 		Subject:   claims.Subject,
@@ -364,9 +340,9 @@ func (a *AM) decideItem(ctx *decideCtx, q core.DecisionQuery) (core.DecisionResp
 		Realm:     q.Realm,
 		Resource:  q.Resource,
 		Action:    q.Action,
-		Claims:    grant.Claims,
+		Claims:    claims.Terms,
 	}
-	res := a.evaluateWith(req, realm, grant.ConsentGranted, a.generalCached(ctx, realm, q.Realm))
+	res := a.evaluateWith(req, realm, claims.Consent, a.generalCached(ctx, realm, q.Realm))
 	decision := core.DecisionDeny
 	if res.Decision == core.DecisionPermit {
 		decision = core.DecisionPermit

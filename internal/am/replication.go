@@ -24,10 +24,11 @@ import (
 // sequence number), and a follower applies the stream into its own store
 // and serves the read-only decision path while rejecting writes with a
 // not_primary error carrying a leader hint. Decision correctness on a
-// follower needs no extra machinery: pairings, realms, policies, groups and
-// grants all live in the replicated store, and the token-service key is
-// shared deployment-wide (Config.TokenKey), so a follower validates tokens
-// the primary minted.
+// follower needs no extra machinery: pairings, realms, policies and groups
+// all live in the replicated store, the token-service key is shared
+// deployment-wide (Config.TokenKey), so a follower validates tokens the
+// primary minted, and each token carries its own grant context (claims
+// presented, consent given).
 
 // ReplicationRole selects how an AM participates in a replicated
 // deployment.

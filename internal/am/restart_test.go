@@ -10,7 +10,7 @@ import (
 )
 
 // TestAMStateSurvivesRestart exercises the persistence path end to end:
-// pairings, realms, policies, links, groups and grants written through one
+// pairings, realms, policies, links and groups written through one
 // AM instance are snapshot to disk, reloaded, and continue to serve
 // decisions from a second instance — including validating tokens minted
 // before the restart (the deployment must supply a stable TokenKey, exactly
@@ -78,7 +78,7 @@ func TestAMStateSurvivesRestart(t *testing.T) {
 		t.Fatalf("groups after restart = %v", got)
 	}
 	// Pre-restart tokens still decide correctly (stable key + persisted
-	// realm/link/grant state).
+	// realm/link state; the token carries its own grant context).
 	dec, err := a2.Decide(pairing.PairingID, core.DecisionQuery{
 		Host: "webpics", Realm: "travel", Resource: "photo",
 		Action: core.ActionRead, Token: tok.Token,

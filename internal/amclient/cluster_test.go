@@ -268,7 +268,8 @@ func TestMigrateOwnerMovesClosure(t *testing.T) {
 		t.Fatalf("losing shard still serves decisions: %v", err)
 	}
 	// …and the gaining shard serves them from migrated state (shared
-	// token key, migrated pairing secret and grant).
+	// token key, migrated pairing secret; the token carries its grant
+	// context).
 	decider2 := amclient.New(amclient.Config{
 		BaseURL: w.srvs["shard-b"].URL, PairingID: pairing.PairingID, Secret: pairing.Secret,
 	})

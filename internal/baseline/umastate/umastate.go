@@ -7,9 +7,10 @@
 //
 // The Requester calls Establish once per (host, realm) and presents the
 // opaque handle to the Host; the Host includes the handle in each decision
-// query and caches nothing. The state is what the AM already keeps for a
-// token: the handle is a token from POST /v1/token, its grant record the
-// state, and the Host's check an uncached signed decision query (POST
+// query and caches nothing. The state is what the AM already issues as a
+// token: the handle is a token from POST /v1/token, whose signed claims
+// (binding, presented claims, consent) are the state, and the Host's
+// check an uncached signed decision query (POST
 // /v1/api/decision) — token introspection, as UMA later defined it. The AM
 // therefore needs no route of its own for this model. Compared with the
 // push-token model every access costs an AM round-trip.

@@ -39,9 +39,15 @@ import (
 const (
 	// abuseFlooders is how many unpaced goroutines the abuser runs.
 	abuseFlooders = 8
-	// abusePace is the victim's inter-op target interval — the standard
-	// mix is paced, the flood is not.
-	abusePace = 200 * time.Millisecond
+	// abuseRate is each tenant's armed pairing and session refill rate,
+	// in cost units per second, with a burst of twice that
+	// (ScenarioExtraArgs formats the flags from it).
+	abuseRate = 10
+	// abusePace is the victim's inter-op target interval. It spends half
+	// of each budget — decisions cost 1 on the pairing budget, every
+	// 10th op is a write costing 10 on the session budget — so the paced
+	// mix fits with headroom while the unpaced flood is over budget.
+	abusePace = 2 * time.Second / abuseRate
 	// abuseMinThrottleShare is the minimum fraction of post-first-429
 	// abuser requests that must be throttled.
 	abuseMinThrottleShare = 0.95

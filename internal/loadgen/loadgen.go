@@ -61,6 +61,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 )
 
 // Options sizes a scenario run. The zero value is invalid; use
@@ -114,9 +115,10 @@ func ScenarioExtraArgs(name string) []string {
 	if name != "abusive_tenant" {
 		return nil
 	}
+	rate, burst := strconv.Itoa(abuseRate), strconv.Itoa(2*abuseRate)
 	return []string{
-		"-rate-pairing", "10", "-rate-pairing-burst", "20",
-		"-rate-session", "10", "-rate-session-burst", "20",
+		"-rate-pairing", rate, "-rate-pairing-burst", burst,
+		"-rate-session", rate, "-rate-session-burst", burst,
 		"-rate-ip", "1000000", "-rate-ip-burst", "2000000",
 	}
 }

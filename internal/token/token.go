@@ -43,6 +43,13 @@ type Claims struct {
 	// IssuedAt and ExpiresAt bound the token's lifetime.
 	IssuedAt  time.Time `json:"iat"`
 	ExpiresAt time.Time `json:"exp"`
+	// Terms and Consent are the grant context a decision query
+	// re-evaluates under: the claims the Requester presented and whether
+	// the owner consented (Section V.D). They are signed, not encrypted.
+	// A Validate result may share Terms with the memo; treat it as
+	// read-only.
+	Terms   map[string]string `json:"terms,omitempty"`
+	Consent bool              `json:"consent,omitempty"`
 }
 
 // Service mints and validates tokens with a single master key. Construct
@@ -92,22 +99,20 @@ func (s *Service) SetClock(now func() time.Time) { s.now = now }
 // TTL returns the configured token lifetime.
 func (s *Service) TTL() time.Duration { return s.ttl }
 
-// Mint issues a token for the given binding. ID, IssuedAt and ExpiresAt are
-// filled in by the service.
+// Mint issues a token for the given binding with no grant context.
 func (s *Service) Mint(requester core.RequesterID, subject core.UserID, host core.HostID, realm core.RealmID) (string, Claims, error) {
-	if requester == "" || host == "" || realm == "" {
+	return s.MintClaims(Claims{Requester: requester, Subject: subject, Host: host, Realm: realm})
+}
+
+// MintClaims issues a token carrying c. ID, IssuedAt and ExpiresAt are
+// filled in by the service.
+func (s *Service) MintClaims(c Claims) (string, Claims, error) {
+	if c.Requester == "" || c.Host == "" || c.Realm == "" {
 		return "", Claims{}, fmt.Errorf("token: requester, host and realm are required")
 	}
 	now := s.now()
-	c := Claims{
-		ID:        core.NewID("tok"),
-		Requester: requester,
-		Subject:   subject,
-		Host:      host,
-		Realm:     realm,
-		IssuedAt:  now,
-		ExpiresAt: now.Add(s.ttl),
-	}
+	c.ID = core.NewID("tok")
+	c.IssuedAt, c.ExpiresAt = now, now.Add(s.ttl)
 	payload, err := json.Marshal(c)
 	if err != nil {
 		return "", Claims{}, fmt.Errorf("token: encode claims: %w", err)

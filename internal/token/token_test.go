@@ -1,6 +1,8 @@
 package token
 
 import (
+	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -68,6 +70,45 @@ func TestValidateRejectsTampering(t *testing.T) {
 		"truncated sig":     tok[:len(tok)-4],
 	}
 	for name, bad := range cases {
+		if _, err := s.Validate(bad); !errors.Is(err, core.ErrTokenInvalid) {
+			t.Errorf("%s: err = %v, want ErrTokenInvalid", name, err)
+		}
+	}
+}
+
+// TestValidateRejectsRewrittenGrantContext: the grant context is signed
+// with the binding, so a payload re-encoded to claim consent or an extra
+// term fails verification under the original signature.
+func TestValidateRejectsRewrittenGrantContext(t *testing.T) {
+	s := newTestService()
+	tok, _, err := s.MintClaims(Claims{Requester: "printshop", Subject: "alice",
+		Host: "webpics", Realm: "shop", Terms: map[string]string{"tier": "basic"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Validate(tok)
+	if err != nil || got.Terms["tier"] != "basic" || got.Consent {
+		t.Fatalf("round trip: claims=%+v err=%v", got, err)
+	}
+	payload, sig, _ := strings.Cut(tok, ".")
+	raw, err := base64.RawURLEncoding.DecodeString(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, rewrite := range map[string]func(map[string]any){
+		"consent":    func(m map[string]any) { m["consent"] = true },
+		"added term": func(m map[string]any) { m["terms"].(map[string]any)["payment"] = "rcpt-1" },
+	} {
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		rewrite(m)
+		forged, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := base64.RawURLEncoding.EncodeToString(forged) + "." + sig
 		if _, err := s.Validate(bad); !errors.Is(err, core.ErrTokenInvalid) {
 			t.Errorf("%s: err = %v, want ErrTokenInvalid", name, err)
 		}
