@@ -277,6 +277,11 @@ func FuzzStoreDecodedRead(f *testing.F) {
 	f.Add([]byte(`{"resources":["a",1]}`))
 	f.Add([]byte(`{"rules":[{"subjects":["user:"]}]}`))
 	f.Add([]byte(`null`))
+	// Duplicate and case-folded keys: encoding/json lets the last match win.
+	f.Add([]byte(`{"resources":["a","b"],"Resources":null,"resources":["c"]}`))
+	// A grant record as older AMs stored it: every field is unknown to
+	// the types read now.
+	f.Add([]byte(`{"owner":"bob","requester":"gallery","subject":"alice","claims":{"paid":"yes","tier":"gold"},"consent_granted":true}`))
 	targets := []func() any{
 		func() any { return new(Pairing) },
 		func() any { return new(Realm) },
